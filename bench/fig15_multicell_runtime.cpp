@@ -5,7 +5,8 @@
 // session; a producer thread per cell submits OFDM frames back-to-back, so
 // small queues under DropNewest/DeadlineExpire visibly shed load while
 // Block holds every frame.  Emits BENCH_runtime.json for the perf
-// trajectory.
+// trajectory, and EXITS NON-ZERO when Block loses a frame (its out count
+// must equal cells * frames per cell at every depth).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -101,6 +102,7 @@ int main() {
               "p99 us");
   fb::rule();
 
+  bool block_kept_all = true;
   for (const std::size_t cells : {1u, 2u, 4u}) {
     for (const std::size_t queue_depth : {1u, 4u, 16u}) {
       for (const fa::QueuePolicy policy :
@@ -116,6 +118,15 @@ int main() {
         const double vps =
             static_cast<double>(r.stats.frames_out * vectors_per_frame) /
             r.seconds;
+        if (policy == fa::QueuePolicy::kBlock &&
+            r.stats.frames_out != cells * frames_per_cell) {
+          std::fprintf(stderr,
+                       "FAIL: Block completed %llu of %zu frames (cells %zu, "
+                       "queue %zu)\n",
+                       static_cast<unsigned long long>(r.stats.frames_out),
+                       cells * frames_per_cell, cells, queue_depth);
+          block_kept_all = false;
+        }
         std::printf("%-6zu %-7zu %-17s %-11.0f %-6llu %-6llu %-6llu %-10.0f "
                     "%-10.0f\n",
                     cells, queue_depth, fa::to_string(policy), vps,
@@ -144,13 +155,9 @@ int main() {
     }
   }
 
-  std::printf("\nShape checks:\n");
-  std::printf("  * Block never sheds: out == cells * frames_per_cell at "
-              "every depth.\n");
-  std::printf("  * DropNewest/DeadlineExpire shed load at queue depth 1 and "
-              "stop shedding as the queue deepens.\n");
-  std::printf("  * Aggregate vec/s grows with cells until the shared PE "
-              "pool saturates.\n");
+  std::printf("\nBlock never sheds (out == cells * frames_per_cell at "
+              "every depth): %s\n",
+              block_kept_all ? "PASS" : "FAIL");
 
   // With tracing live (FLEXCORE_OBS_TRACE=1), FLEXCORE_TRACE_OUT=<path>
   // exports everything the span rings retained as a Chrome/Perfetto trace.
@@ -160,5 +167,5 @@ int main() {
     std::printf("\ntrace: %s %s\n", ok ? "wrote" : "FAILED to write",
                 trace_out);
   }
-  return 0;
+  return block_kept_all ? 0 : 1;
 }

@@ -11,21 +11,28 @@
 //     loop: interleaved std::complex<double>, one libcall-heavy walk per
 //     path);
 //   * block   — path_metric_block over the compiled PathPlan (split-SoA,
-//     lane-parallel), in the fp64 tier (bit-identical), the fp32 tier
-//     (reduced precision) and the int16 quantized tier (":i16", 16 lanes
-//     per block, LUT-compiled slicing — the paper's Table 3 fixed-point
-//     datapath).
+//     lane-parallel), in the fp64 tier (bit-identical) and the int16
+//     quantized tier (":i16", 16 lanes per block, LUT-compiled slicing —
+//     the paper's Table 3 fixed-point datapath).
+//
+// The kernels of one sweep point are timed interleaved — each round runs
+// scalar, fp64 block and i16 block once, best of the rounds kept — so a
+// slow stretch of the host hits every kernel alike instead of one gate.
 //
 // Emits BENCH_kernels.json and EXITS NON-ZERO when any gate fails:
 //   * fp64 block >= 1.5x over the scalar loop at 12x12 / 64-QAM;
-//   * i16 block faster than fp32 block at 12x12 and 16x16;
+//   * i16 block faster than fp64 block at 12x12 and 16x16;
 //   * i16 block >= 1.4x over the fp64 scalar loop at 16x16;
+//   * i16 checksum within 25% of the exact one, with at most 0.5% of the
+//     vectors losing every path that the scalar loop keeps;
 //   * end-to-end 64-QAM SER of the i16 tier within
 //     detect::kI16SerTolerance of the fp64 tier.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "api/detector_registry.h"
@@ -47,72 +54,100 @@ using flexcore::modulation::Constellation;
 
 namespace {
 
-struct Timing {
-  double ns_per_path = 0.0;
-  double checksum = 0.0;  ///< sum of per-vector minima (anti-DCE + sanity)
+/// What one scan over the vector batch reduces to.  A vector whose every
+/// path was deactivated (minimum +infinity) is counted instead of summed:
+/// the quantized tier may legitimately kill every path on a vector whose
+/// effective point sits at a decision boundary (the detectors rescue it
+/// with an exact rescan), and one +infinity would hide the rest of the sum.
+struct Scan {
+  double checksum = 0.0;  ///< sum of finite per-vector minima (anti-DCE)
+  std::size_t dead = 0;   ///< vectors with every path deactivated
+
+  void add(double best) {
+    if (std::isinf(best)) {
+      ++dead;
+    } else {
+      checksum += best;
+    }
+  }
 };
 
-/// Best-of-`reps` wall clock of `eval` (which scans every path of every
-/// vector and returns the checksum), normalized per path walk.
-template <typename Eval>
-Timing time_kernel(std::size_t total_walks, int reps, Eval&& eval) {
-  Timing t;
-  double best = 1e300;
+struct Timing {
+  double ns_per_path = 0.0;
+  Scan scan;
+};
+
+/// The kernels of one sweep point: scalar, fp64 block, i16 block.
+constexpr std::size_t kKernels = 3;
+using Timings = std::array<Timing, kKernels>;
+
+/// Interleaved best-of-`reps` wall clock of each `evals[k]` (which scans
+/// every path of every vector), normalized per path walk.  Every round runs
+/// each kernel once, in order.
+Timings time_kernels(
+    std::size_t total_walks, int reps,
+    const std::array<std::function<Scan()>, kKernels>& evals) {
+  Timings t;
+  std::array<double, kKernels> best;
+  best.fill(1e300);
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    t.checksum = eval();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    best = std::min(best, secs);
+    for (std::size_t k = 0; k < kKernels; ++k) {
+      const auto t0 = std::chrono::steady_clock::now();
+      t[k].scan = evals[k]();
+      const double secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      best[k] = std::min(best[k], secs);
+    }
   }
-  t.ns_per_path = best * 1e9 / static_cast<double>(total_walks);
+  for (std::size_t k = 0; k < kKernels; ++k) {
+    t[k].ns_per_path = best[k] * 1e9 / static_cast<double>(total_walks);
+  }
   return t;
 }
 
-/// Sum over vectors of the minimum path metric, via the scalar kernel.
+/// Per-vector minimum path metric over the batch, via the scalar kernel.
 template <typename D>
-double scan_scalar(const D& det, const std::vector<fl::CVec>& ybars,
-                   std::size_t paths) {
-  double sum = 0.0;
+Scan scan_scalar(const D& det, const std::vector<fl::CVec>& ybars,
+                 std::size_t paths) {
+  Scan scan;
   for (const fl::CVec& ybar : ybars) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t p = 0; p < paths; ++p) {
       best = std::min(best, det.path_metric(ybar, p));
     }
-    sum += best;
+    scan.add(best);
   }
-  return sum;
+  return scan;
 }
 
 /// Same reduction through the block kernel — via detect::scan_paths, the
 /// exact loop the production grids run, so the gate times the real path.
 template <typename D>
-double scan_block(const D& det, const std::vector<fl::CVec>& ybars,
-                  std::size_t paths) {
-  double sum = 0.0;
+Scan scan_block(const D& det, const std::vector<fl::CVec>& ybars,
+                std::size_t paths) {
+  Scan scan;
   for (const fl::CVec& ybar : ybars) {
     std::size_t best_p = 0;
     double best = 0.0;
     fd::scan_paths(det, ybar, paths, &best_p, &best);
-    sum += best;
+    scan.add(best);
   }
-  return sum;
+  return scan;
 }
 
-/// One scalar + three block rows for a (detector, MIMO size) sweep point —
+/// One scalar + two block rows for a (detector, MIMO size) sweep point —
 /// the single place that defines the BENCH_kernels.json timing-row schema.
 void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
                std::size_t paths, const Timing& scalar, const Timing& blk64,
-               const Timing& blk32, const Timing& blk16) {
+               const Timing& blk16) {
   const struct {
     const char* kernel;
     const char* precision;
-    double ns;
-  } rows[] = {{"scalar", "fp64", scalar.ns_per_path},
-              {"block", "fp64", blk64.ns_per_path},
-              {"block", "fp32", blk32.ns_per_path},
-              {"block", "i16", blk16.ns_per_path}};
+    const Timing& t;
+  } rows[] = {{"scalar", "fp64", scalar},
+              {"block", "fp64", blk64},
+              {"block", "i16", blk16}};
   for (const auto& r : rows) {
     json.row()
         .field("detector", detector)
@@ -121,8 +156,9 @@ void emit_rows(fb::BenchJson& json, const char* detector, std::size_t mimo,
         .field("paths", paths)
         .field("kernel", r.kernel)
         .field("precision", r.precision)
-        .field("ns_per_path", r.ns)
-        .field("speedup_vs_scalar", scalar.ns_per_path / r.ns);
+        .field("ns_per_path", r.t.ns_per_path)
+        .field("speedup_vs_scalar", scalar.ns_per_path / r.t.ns_per_path)
+        .field("dead_vectors", r.t.scan.dead);
   }
 }
 
@@ -146,10 +182,13 @@ std::vector<fl::CVec> rotated_batch(const fc::FlexCoreDetector& det,
 }  // namespace
 
 int main() {
-  const int reps = static_cast<int>(fb::env_size("FLEXCORE_TRIALS", 3));
-  const std::size_t nvec = fb::env_size("FLEXCORE_VECTORS", 192);
+  const int reps = static_cast<int>(fb::env_size("FLEXCORE_TRIALS", 5));
+  const std::size_t nvec = fb::env_size("FLEXCORE_VECTORS", 1024);
   constexpr double kSpeedupGate = 1.5;  // fp64 block vs scalar, 12x12/64-QAM
   constexpr double kI16Gate = 1.4;      // i16 block vs fp64 scalar, 16x16
+  // Share of the batch on which the i16 grid may deactivate every path
+  // while the scalar loop keeps one (measured 0-1 of 1024 per MIMO size).
+  constexpr double kMaxI16DeadShare = 0.005;
 
   Constellation qam(64);
   fb::BenchJson json("kernels");
@@ -157,9 +196,10 @@ int main() {
   std::printf("(64-QAM, flexcore-128, %zu vectors, best of %d, single "
               "thread)\n\n",
               nvec, reps);
-  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %-10s\n", "MIMO", "paths",
-              "scalar ns/path", "block fp64", "block fp32", "block i16",
-              "speedup");
+  std::printf("(kernels timed interleaved per round)\n\n");
+  std::printf("%-6s %-8s %-15s %-12s %-12s %-12s %s\n", "MIMO", "paths",
+              "scalar ns/path", "block fp64", "block i16", "speedup",
+              "dead fp64/i16");
   fb::rule();
 
   bool gate_seen = false;
@@ -174,9 +214,6 @@ int main() {
     const auto det64 =
         fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128", dcfg);
     det64->set_channel(h, noise);
-    const auto det32 =
-        fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128:fp32", dcfg);
-    det32->set_channel(h, noise);
     const auto det16 =
         fa::make_detector_as<fc::FlexCoreDetector>("flexcore-128:i16", dcfg);
     det16->set_channel(h, noise);
@@ -184,58 +221,71 @@ int main() {
     const auto ybars = rotated_batch(*det64, h, qam, noise, nvec, rng);
     const std::size_t walks = nvec * paths;
 
-    const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(*det64, ybars, paths); });
-    const Timing blk64 = time_kernel(
-        walks, reps, [&] { return scan_block(*det64, ybars, paths); });
-    const Timing blk32 = time_kernel(
-        walks, reps, [&] { return scan_block(*det32, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(*det16, ybars, paths); });
+    const auto [scalar, blk64, blk16] = time_kernels(
+        walks, reps,
+        {[&] { return scan_scalar(*det64, ybars, paths); },
+         [&] { return scan_block(*det64, ybars, paths); },
+         [&] { return scan_block(*det16, ybars, paths); }});
     // Relative tolerance, not bit equality: tests/kernel_test.cpp proves
     // bitwise identity at the portable default flags; under
     // FLEXCORE_NATIVE_ARCH, FMA contraction may legitimately move the
     // split kernels by ULPs relative to the scalar libcall path.
-    const double drift = std::fabs(blk64.checksum - scalar.checksum);
-    if (drift > 1e-9 * std::fabs(scalar.checksum)) {
+    // The fp64 block kernel must also deactivate exactly the vectors the
+    // scalar loop does.
+    const double drift =
+        std::fabs(blk64.scan.checksum - scalar.scan.checksum);
+    if (drift > 1e-9 * std::fabs(scalar.scan.checksum) ||
+        blk64.scan.dead != scalar.scan.dead) {
       std::fprintf(stderr,
-                   "FAIL: fp64 block checksum %.17g vs scalar %.17g at "
-                   "%zux%zu\n",
-                   blk64.checksum, scalar.checksum, nt, nt);
+                   "FAIL: fp64 block checksum %.17g (%zu dead) vs scalar "
+                   "%.17g (%zu dead) at %zux%zu\n",
+                   blk64.scan.checksum, blk64.scan.dead, scalar.scan.checksum,
+                   scalar.scan.dead, nt, nt);
       return 1;
     }
     // The quantized checksum only sanity-checks magnitude (its metrics are
     // rounded): it must be finite and in the ballpark of the exact sum.
-    if (!std::isfinite(blk16.checksum) ||
-        std::fabs(blk16.checksum - scalar.checksum) >
-            0.25 * std::fabs(scalar.checksum) + 1.0) {
+    // Vectors it kills beyond the scalar loop's are bounded separately, by
+    // kMaxI16DeadShare of the batch.
+    const std::size_t extra_dead =
+        blk16.scan.dead > scalar.scan.dead ? blk16.scan.dead - scalar.scan.dead
+                                           : 0;
+    if (!std::isfinite(blk16.scan.checksum) ||
+        std::fabs(blk16.scan.checksum - scalar.scan.checksum) >
+            0.25 * std::fabs(scalar.scan.checksum) + 1.0 ||
+        static_cast<double>(extra_dead) >
+            kMaxI16DeadShare * static_cast<double>(nvec)) {
       std::fprintf(stderr,
-                   "FAIL: i16 block checksum %.17g vs scalar %.17g at "
-                   "%zux%zu\n",
-                   blk16.checksum, scalar.checksum, nt, nt);
+                   "FAIL: i16 block checksum %.17g (%zu dead) vs scalar "
+                   "%.17g (%zu dead; at most %.1f%% of %zu vectors may die "
+                   "extra) at %zux%zu\n",
+                   blk16.scan.checksum, blk16.scan.dead,
+                   scalar.scan.checksum, scalar.scan.dead,
+                   kMaxI16DeadShare * 100.0, nvec, nt, nt);
       return 1;
     }
 
     const double speedup64 = scalar.ns_per_path / blk64.ns_per_path;
     const double speedup16 = scalar.ns_per_path / blk16.ns_per_path;
-    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %-12.2f "
-                "%.2fx/%.2fx\n",
+    std::printf("%zux%-4zu %-8zu %-15.2f %-12.2f %-12.2f %.2fx/%.2fx  "
+                "dead %zu/%zu\n",
                 nt, nt, paths, scalar.ns_per_path, blk64.ns_per_path,
-                blk32.ns_per_path, blk16.ns_per_path, speedup64, speedup16);
-    emit_rows(json, "flexcore-128", nt, paths, scalar, blk64, blk32, blk16);
+                blk16.ns_per_path, speedup64, speedup16, blk64.scan.dead,
+                blk16.scan.dead);
+    emit_rows(json, "flexcore-128", nt, paths, scalar, blk64, blk16);
 
     if (nt == 12) {
       gate_seen = true;
       gate_ok = speedup64 >= kSpeedupGate;
     }
-    // i16 gates: faster than fp32 at the large sizes, and >= kI16Gate over
-    // the fp64 scalar loop at 16x16.
+    // i16 gates: faster than fp64 block at the large sizes, and >= kI16Gate
+    // over the fp64 scalar loop at 16x16.
     if (nt == 12 || nt == 16) {
-      if (blk16.ns_per_path >= blk32.ns_per_path) {
+      if (blk16.ns_per_path >= blk64.ns_per_path) {
         std::fprintf(stderr,
-                     "FAIL: i16 block (%.2f ns) not faster than fp32 "
+                     "FAIL: i16 block (%.2f ns) not faster than fp64 block "
                      "(%.2f ns) at %zux%zu\n",
-                     blk16.ns_per_path, blk32.ns_per_path, nt, nt);
+                     blk16.ns_per_path, blk64.ns_per_path, nt, nt);
         i16_gates_ok = false;
       }
     }
@@ -258,8 +308,6 @@ int main() {
     const double noise = ch::noise_var_for_snr_db(18.0);
     fd::FcsdDetector fcsd64(qam, 1);
     fcsd64.set_channel(h, noise);
-    fd::FcsdDetector fcsd32(qam, 1, fd::Precision::kFloat32);
-    fcsd32.set_channel(h, noise);
     fd::FcsdDetector fcsd16(qam, 1, fd::Precision::kInt16);
     fcsd16.set_channel(h, noise);
     const std::size_t paths = fcsd64.num_paths();
@@ -281,20 +329,16 @@ int main() {
       }
     }
     const std::size_t walks = nvec * paths;
-    const Timing scalar = time_kernel(
-        walks, reps, [&] { return scan_scalar(fcsd64, ybars, paths); });
-    const Timing blk64 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd64, ybars, paths); });
-    const Timing blk32 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd32, ybars, paths); });
-    const Timing blk16 = time_kernel(
-        walks, reps, [&] { return scan_block(fcsd16, ybars, paths); });
+    const auto [scalar, blk64, blk16] = time_kernels(
+        walks, reps,
+        {[&] { return scan_scalar(fcsd64, ybars, paths); },
+         [&] { return scan_block(fcsd64, ybars, paths); },
+         [&] { return scan_block(fcsd16, ybars, paths); }});
     std::printf("\nfcsd-L1 12x12: scalar %.2f ns/path, block fp64 %.2f "
-                "(%.2fx), block fp32 %.2f, block i16 %.2f\n",
+                "(%.2fx), block i16 %.2f\n",
                 scalar.ns_per_path, blk64.ns_per_path,
-                scalar.ns_per_path / blk64.ns_per_path, blk32.ns_per_path,
-                blk16.ns_per_path);
-    emit_rows(json, "fcsd-L1", nt, paths, scalar, blk64, blk32, blk16);
+                scalar.ns_per_path / blk64.ns_per_path, blk16.ns_per_path);
+    emit_rows(json, "fcsd-L1", nt, paths, scalar, blk64, blk16);
   }
 
   // --- end-to-end SER gate of the quantized tier ---------------------------
@@ -387,7 +431,7 @@ int main() {
     fail = true;
   }
   if (fail) return 1;
-  std::printf("\nPASS: fp64 block >= %.1fx at 12x12; i16 block < fp32 at "
+  std::printf("\nPASS: fp64 block >= %.1fx at 12x12; i16 block < fp64 at "
               "12x12/16x16, >= %.1fx at 16x16; i16 SER gap within %.3f\n",
               kSpeedupGate, kI16Gate, fd::kI16SerTolerance);
   return 0;

@@ -7,7 +7,9 @@
 // baseline; C=1 exercises the bit-identical bypass; C in {2,4,8} run the
 // per-cluster partial-QR fronthaul with its own thread pools.  Emits
 // BENCH_sharded.json (per-shard counters included) for the perf
-// trajectory.
+// trajectory, and EXITS NON-ZERO when the C >= 2 counters break the
+// fronthaul's bookkeeping: every shard preprocesses every frame, and the
+// shards' antenna rows sum to B per subcarrier.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -95,6 +97,7 @@ int main() {
               "vec/s", "out", "p50 us", "p99 us", "shard busy s");
   fb::rule();
 
+  bool counters_ok = true;
   for (const std::size_t cells : {1u, 2u, 4u}) {
     for (const std::size_t shards : {0u, 1u, 2u, 4u, 8u}) {
       SweepResult r;
@@ -118,8 +121,29 @@ int main() {
           static_cast<double>(r.stats.frames_out * vectors_per_frame) /
           r.seconds;
       double shard_busy = 0.0;
+      std::uint64_t rows_total = 0;
+      const std::uint64_t frames_total = cells * frames_per_cell;
       for (const fa::ShardStats& ss : r.stats.shards) {
         shard_busy += ss.busy_seconds;
+        rows_total += ss.rows_processed;
+        if (shards >= 2 && ss.frames != frames_total) {
+          std::fprintf(stderr,
+                       "FAIL: shard %zu preprocessed %llu of %llu frames "
+                       "(cells %zu, C=%zu)\n",
+                       ss.shard_id, static_cast<unsigned long long>(ss.frames),
+                       static_cast<unsigned long long>(frames_total), cells,
+                       shards);
+          counters_ok = false;
+        }
+      }
+      if (shards >= 2 && rows_total != frames_total * nsc * b) {
+        std::fprintf(stderr,
+                     "FAIL: shard rows sum to %llu, want %llu = frames x "
+                     "subcarriers x B (cells %zu, C=%zu)\n",
+                     static_cast<unsigned long long>(rows_total),
+                     static_cast<unsigned long long>(frames_total * nsc * b),
+                     cells, shards);
+        counters_ok = false;
       }
       std::printf("%-6zu %-8s %-11.0f %-6llu %-10.0f %-10.0f %-14.3f\n",
                   cells, shards == 0 ? "mono" : std::to_string(shards).c_str(),
@@ -155,13 +179,9 @@ int main() {
     }
   }
 
-  std::printf("\nShape checks:\n");
-  std::printf("  * shards=1 tracks mono closely (pure bypass, one extra "
-              "hop).\n");
-  std::printf("  * For B >> C*Nt the merged stack shrinks detection-side "
-              "preprocessing (16 rows -> 8 at C=2).\n");
-  std::printf("  * Per-shard frames are identical across shards; rows sum "
-              "to B per subcarrier.\n");
+  std::printf("\nC >= 2: every shard preprocessed every frame and rows "
+              "sum to B per subcarrier: %s\n",
+              counters_ok ? "PASS" : "FAIL");
 
   // With tracing live (FLEXCORE_OBS_TRACE=1), FLEXCORE_TRACE_OUT=<path>
   // exports the retained spans — per-shard tracks included — as a
@@ -172,5 +192,5 @@ int main() {
     std::printf("\ntrace: %s %s\n", ok ? "wrote" : "FAILED to write",
                 trace_out);
   }
-  return 0;
+  return counters_ok ? 0 : 1;
 }

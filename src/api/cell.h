@@ -38,12 +38,11 @@ struct CellConfig {
   /// Detector tuning forwarded to api::make_detector (constellation field
   /// is ignored — the cell owns its constellation).
   DetectorConfig tuning;
-  /// Compute tier of the cell's path grids: kFloat32 runs the
-  /// single-precision kernel tier and kInt16 the quantized int16 tier
-  /// (forwarded to the cell's pipeline; a detector-spec suffix
-  /// ":fp32"/":fp64"/":i16" still overrides).  The control plane's
-  /// degrade ladder also reaches these tiers by emitting ":fp32" and then
-  /// ":i16" specs under sustained load.
+  /// Compute tier of the cell's path grids: kInt16 runs the quantized
+  /// int16 tier (forwarded to the cell's pipeline; a detector-spec suffix
+  /// ":fp64"/":i16" still overrides).  The control plane's degrade ladder
+  /// also reaches the i16 tier by emitting ":i16" specs under sustained
+  /// load.
   detect::Precision precision = detect::Precision::kFloat64;
   /// Static-channel coherence policy: when true, every frame after the
   /// cell's first reuses the per-subcarrier preprocessing (QR + path
@@ -167,6 +166,14 @@ class Cell {
   bool scheduled_ = false;  ///< busy_ or sitting in the runnable list
   bool warm_ = false;       ///< a frame has run; coherence reuse is valid
   std::uint64_t next_seq_ = 0;
+  /// 1 + sequence number of the latest queue entry that was not shed (a
+  /// frame that reached the pipeline, or an applied reconfig).  A frame
+  /// whose own sequence number is larger had a shed frame (dropped or
+  /// expired) in between, which may have opened the coherence window its
+  /// reuse flag refers to, so it re-preprocesses on its own channels.
+  /// Shedding writes nothing here: a drop at submit cannot race the
+  /// completion of a frame still in flight.
+  std::uint64_t next_unshed_seq_ = 0;
   std::uint64_t frames_in_ = 0;
   std::uint64_t frames_out_ = 0;
   std::uint64_t frames_dropped_ = 0;

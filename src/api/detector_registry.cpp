@@ -26,17 +26,13 @@ const Constellation& require_constellation(const DetectorConfig& cfg,
   return *cfg.constellation;
 }
 
-/// Strips a trailing precision-tier suffix (":fp32" / ":fp64" / ":i16")
-/// off a spec, recording the tier in *precision (left untouched when no
-/// suffix is present, so DetectorConfig::precision stays the default).
-/// Only the path-parallel factories call this — "zf:fp32" and "zf:i16"
-/// stay unknown specs.
+/// Strips a trailing precision-tier suffix (":fp64" / ":i16") off a spec,
+/// recording the tier in *precision (left untouched when no suffix is
+/// present, so DetectorConfig::precision stays the default).  Only the
+/// path-parallel factories call this — "zf:fp64" and "zf:i16" stay unknown
+/// specs.
 std::string_view strip_precision(std::string_view spec,
                                  detect::Precision* precision) {
-  if (spec.ends_with(":fp32")) {
-    *precision = detect::Precision::kFloat32;
-    return spec.substr(0, spec.size() - 5);
-  }
   if (spec.ends_with(":fp64")) {
     *precision = detect::Precision::kFloat64;
     return spec.substr(0, spec.size() - 5);
@@ -123,7 +119,7 @@ void register_builtins(DetectorRegistry& r) {
                      c, cfg.ml_sphere);
                })});
 
-  r.add({"fcsd", "fcsd-L1", "fcsd-L<L>[:fp32|:i16] (bare = L1)",
+  r.add({"fcsd", "fcsd-L1", "fcsd-L<L>[:i16] (bare = L1)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {
            detect::Precision precision = cfg.precision;
@@ -176,7 +172,7 @@ void register_builtins(DetectorRegistry& r) {
          }});
 
   r.add({"flexcore", "flexcore-64",
-         "flexcore[-<PEs>][:fp32|:i16] (base config: cfg.flexcore)",
+         "flexcore[-<PEs>][:i16] (base config: cfg.flexcore)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {
            core::FlexCoreConfig fcfg = cfg.flexcore;
@@ -191,7 +187,7 @@ void register_builtins(DetectorRegistry& r) {
          }});
 
   r.add({"a-flexcore", "a-flexcore-64",
-         "a-flexcore[-<PEs>][:fp32|:i16] (threshold: "
+         "a-flexcore[-<PEs>][:i16] (threshold: "
          "cfg.flexcore.adaptive_threshold or cfg.adaptive_threshold)",
          [](std::string_view spec, const DetectorConfig& cfg)
              -> std::unique_ptr<detect::Detector> {

@@ -14,9 +14,9 @@
 // (flexcore-<PEs>, a-flexcore-<PEs>, fcsd-L<L>, kbest-<K>, akbest-<B>);
 // bare family names fall back to the values in DetectorConfig.  The
 // path-parallel families additionally accept a precision-tier suffix
-// (":fp32" / ":fp64" / ":i16", e.g. "flexcore-128:fp32" or
-// "fcsd-L1:i16") selecting the compute tier of their block kernels; it
-// overrides DetectorConfig::precision.  Unknown specs — including a tier
+// (":fp64" / ":i16", e.g. "flexcore-128:i16" or "fcsd-L1:fp64")
+// selecting the compute tier of their block kernels; it overrides
+// DetectorConfig::precision.  Unknown specs — including a tier
 // suffix on a family without block kernels, e.g. "zf:i16" — throw
 // std::invalid_argument listing the registered families.
 //
@@ -57,8 +57,8 @@ struct DetectorConfig {
   double adaptive_threshold = 0.95;
 
   /// Compute tier for the path-parallel families (flexcore / a-flexcore /
-  /// fcsd); a ":fp32"/":fp64"/":i16" spec suffix overrides it.  Other
-  /// families ignore it (they have no reduced-precision kernels).
+  /// fcsd); a ":fp64"/":i16" spec suffix overrides it.  Other families
+  /// ignore it (they have no quantized kernels).
   detect::Precision precision = detect::Precision::kFloat64;
 };
 

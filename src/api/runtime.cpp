@@ -472,10 +472,18 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
   --queued_total_;
   ++in_flight_;
   space_cv_.notify_one();
-  // The cell's coherence policy ORs with the job's own flag; only valid
-  // once a first frame warmed the per-subcarrier preprocessing caches.
-  const bool reuse = pf.job.reuse_preprocessing ||
-                     (cell->cfg_.reuse_preprocessing && cell->warm_);
+  // The cell's coherence policy ORs with the job's own flag.  The policy
+  // is only valid once a first frame warmed the per-subcarrier
+  // preprocessing caches.  The job's flag is only honoured when the frame
+  // directly follows the last one that reached the pipeline: a sequence
+  // gap means a frame in between was shed, and it may have opened the
+  // coherence window the reuse refers to, so the caches hold an older
+  // channel.  (The policy's channels never change, so a shed frame cannot
+  // stale it.)
+  const std::uint64_t seq = pf.ticket->seq;
+  const bool reuse =
+      (pf.job.reuse_preprocessing && seq == cell->next_unshed_seq_) ||
+      (cell->cfg_.reuse_preprocessing && cell->warm_);
   const auto dispatch_start = Clock::now();
   lock.unlock();
 
@@ -540,6 +548,7 @@ void Runtime::process_next(std::unique_lock<std::mutex>& lock) {
   // still see it as in flight — the consistent direction).
   lock.lock();
   parallel::guard_detail::note_lock();  // re-acquired after unlocked section
+  if (status != TicketStatus::kExpired) cell->next_unshed_seq_ = seq + 1;
   bool transitioned = false;
   switch (status) {
     case TicketStatus::kDone:
@@ -615,6 +624,7 @@ void Runtime::apply_reconfig(std::unique_lock<std::mutex>& lock, Cell* cell,
 
   lock.lock();
   parallel::guard_detail::note_lock();  // re-acquired after unlocked section
+  cell->next_unshed_seq_ = pf.ticket->seq + 1;
   if (status == TicketStatus::kDone) {
     cell->cfg_.detector = rc.detector;
     if (rc.tuning) cell->cfg_.tuning = *rc.tuning;

@@ -67,11 +67,10 @@ struct PipelineConfig {
   /// field is ignored — the pipeline owns the constellation.
   DetectorConfig tuning;
   /// Compute tier of the session's path grids (detect/path_kernels.h).
-  /// kFloat32 selects the single-precision kernel tier and kInt16 the
-  /// quantized int16 tier end-to-end (the knob is folded into
-  /// `tuning.precision` at construction, so it also covers frame-detector
-  /// clones and later reconfigure calls); a spec suffix
-  /// (":fp32"/":fp64"/":i16") still overrides per detector.
+  /// kInt16 selects the quantized int16 tier end-to-end (the knob is
+  /// folded into `tuning.precision` at construction, so it also covers
+  /// frame-detector clones and later reconfigure calls); a spec suffix
+  /// (":fp64"/":i16") still overrides per detector.
   detect::Precision precision = detect::Precision::kFloat64;
 };
 

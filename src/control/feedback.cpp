@@ -115,17 +115,14 @@ std::optional<Decision> FeedbackLoop::emit(const char* reason) {
   for (std::size_t s = 0; s < halvings; ++s) {
     paths = std::max(cfg_.policy.min_paths, paths / 2);
   }
-  // Terminal rungs past the halvings: fp32 then i16 precision drops (when
-  // enabled), then the family swap.
+  // Terminal rungs past the halvings: the i16 precision drop, then the
+  // family swap.
   std::string spec;
   if (degrade_step_ > ladder_top()) {
     spec = cfg_.degrade_detector;
   } else {
     spec = path_spec(cfg_.path_family, *c_, paths);
-    if (cfg_.shed_precision && degrade_step_ == cfg_.max_degrade_steps + 1) {
-      spec += detect::precision_suffix(detect::Precision::kFloat32);
-    } else if (cfg_.shed_precision &&
-               degrade_step_ == cfg_.max_degrade_steps + 2) {
+    if (degrade_step_ == ladder_top()) {
       spec += detect::precision_suffix(detect::Precision::kInt16);
     }
   }

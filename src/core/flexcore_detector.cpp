@@ -64,16 +64,9 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
     plan16_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
                              exact, cfg_.invalid_policy);
     plan64_.clear();
-    plan32_.clear();
-  } else if (cfg_.precision == detect::Precision::kFloat32) {
-    plan32_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
-                             exact, cfg_.invalid_policy);
-    plan64_.clear();
-    plan16_.clear();
   } else {
     plan64_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
                              exact, cfg_.invalid_policy);
-    plan32_.clear();
     plan16_.clear();
   }
 }
@@ -225,8 +218,8 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
                                           detect::Workspace& ws,
                                           DetectionResult* res) const {
   // The double walk re-deriving the winner can disagree with the grid only
-  // in the reduced-precision tiers, where a decision that lands near a cell
-  // boundary can fall on the other side of it: the fp32 or int16 kernel may
+  // in the quantized tier, where a decision that lands near a cell
+  // boundary can fall on the other side of it: the int16 kernel may
   // crown a path the exact walk deactivates, or deactivate every path the
   // exact walk keeps.  Those vectors are rescued with one exact scalar
   // rescan (the quantized grid already paid for the other 99%+); only when

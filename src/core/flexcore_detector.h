@@ -63,9 +63,8 @@ struct FlexCoreConfig {
   /// Pre-processing nodes expanded per round (1 = sequential).
   std::size_t batch_expand = 1;
   /// Compute tier of the path grids (detect/path_kernels.h): kFloat64 is
-  /// bit-identical to the scalar kernels; kFloat32 evaluates the block
-  /// kernel in single precision (spec suffix ":fp32"); kInt16 runs the
-  /// quantized fixed-point kernel (spec suffix ":i16", accuracy bounded by
+  /// bit-identical to the scalar kernels; kInt16 runs the quantized
+  /// fixed-point kernel (spec suffix ":i16", accuracy bounded by
   /// detect::kI16SerTolerance).  Winner reconstruction and the sequential
   /// detect() path stay double in every tier.
   detect::Precision precision = detect::Precision::kFloat64;
@@ -154,28 +153,24 @@ class FlexCoreDetector : public Detector {
   /// Lane-parallel block kernel: metrics of paths [first_path,
   /// first_path + n_paths) in one call, through the PathPlan compiled by
   /// set_channel in the configured precision tier.  At kFloat64 the
-  /// metrics are bit-identical to path_metric per path; at kFloat32 the
-  /// grid runs single precision.  Thread-safe, allocation-free.
+  /// metrics are bit-identical to path_metric per path; at kInt16 the grid
+  /// runs quantized.  Thread-safe, allocation-free.
   void path_metric_block(std::span<const linalg::cplx> ybar,
                          std::size_t first_path, std::size_t n_paths,
                          double* out_metrics) const {
     if (cfg_.precision == detect::Precision::kInt16) {
       plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (cfg_.precision == detect::Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
     } else {
       plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
     }
   }
 
   /// Heap footprint of the compiled plan of the configured tier (the
-  /// number the precision ladder halves; reported by bench/micro_kernels).
+  /// number the i16 tier cuts; reported by bench/micro_kernels).
   std::size_t plan_footprint_bytes() const {
-    switch (cfg_.precision) {
-      case detect::Precision::kInt16: return plan16_.footprint_bytes();
-      case detect::Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
+    return cfg_.precision == detect::Precision::kInt16
+               ? plan16_.footprint_bytes()
+               : plan64_.footprint_bytes();
   }
 
   /// The quantized plan of the current channel (compiled only when the
@@ -226,7 +221,6 @@ class FlexCoreDetector : public Detector {
   // Compiled path plans for the block kernel (only the configured
   // precision tier is compiled per set_channel).
   detect::PathPlan plan64_;
-  detect::PathPlanF plan32_;
   detect::PathPlanI16 plan16_;
   // Per-worker reconstruction scratch plus the reusable grid output, kept
   // across detect_batch calls so repeated per-subcarrier batches stay at

@@ -29,14 +29,8 @@ void FcsdDetector::set_channel(const CMat& h, double /*noise_var*/) {
   if (precision_ == Precision::kInt16) {
     plan16_.compile_fcsd(qr_.R, full_levels_, *constellation_);
     plan64_.clear();
-    plan32_.clear();
-  } else if (precision_ == Precision::kFloat32) {
-    plan32_.compile_fcsd(qr_.R, full_levels_, *constellation_);
-    plan64_.clear();
-    plan16_.clear();
   } else {
     plan64_.compile_fcsd(qr_.R, full_levels_, *constellation_);
-    plan32_.clear();
     plan16_.clear();
   }
 }

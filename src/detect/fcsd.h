@@ -22,7 +22,7 @@ class FcsdDetector : public Detector {
  public:
   /// `full_levels` = L, the number of fully-expanded levels (1 or 2 in the
   /// paper's evaluation).  `precision` selects the compute tier of the
-  /// path grids (spec suffix ":fp32" or ":i16"); everything outside the
+  /// path grids (spec suffix ":i16"); everything outside the
   /// grid stays double.
   FcsdDetector(const Constellation& c, std::size_t full_levels,
                Precision precision = Precision::kFloat64)
@@ -93,8 +93,6 @@ class FcsdDetector : public Detector {
                          double* out_metrics) const {
     if (precision_ == Precision::kInt16) {
       plan16_.path_metric_block(ybar, first_path, n_paths, out_metrics);
-    } else if (precision_ == Precision::kFloat32) {
-      plan32_.path_metric_block(ybar, first_path, n_paths, out_metrics);
     } else {
       plan64_.path_metric_block(ybar, first_path, n_paths, out_metrics);
     }
@@ -104,11 +102,8 @@ class FcsdDetector : public Detector {
 
   /// Heap footprint of the compiled plan of the configured tier.
   std::size_t plan_footprint_bytes() const {
-    switch (precision_) {
-      case Precision::kInt16: return plan16_.footprint_bytes();
-      case Precision::kFloat32: return plan32_.footprint_bytes();
-      default: return plan64_.footprint_bytes();
-    }
+    return precision_ == Precision::kInt16 ? plan16_.footprint_bytes()
+                                           : plan64_.footprint_bytes();
   }
 
   /// The quantized plan of the current channel (compiled only when the
@@ -134,7 +129,6 @@ class FcsdDetector : public Detector {
   // Compiled path plans for the block kernel (only the configured
   // precision tier is compiled per set_channel).
   PathPlan plan64_;
-  PathPlanF plan32_;
   PathPlanI16 plan16_;
   // Per-worker reconstruction scratch plus the reusable grid output, kept
   // across detect_batch calls so repeated per-subcarrier batches stay at

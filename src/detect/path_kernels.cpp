@@ -16,10 +16,9 @@
 
 namespace flexcore::detect {
 
-template <typename T>
-void PathPlanT<T>::compile_channel(const linalg::CMat& r,
-                                   const modulation::Constellation& c,
-                                   bool with_diag_inverse) {
+void PathPlan::compile_channel(const linalg::CMat& r,
+                               const modulation::Constellation& c,
+                               bool with_diag_inverse) {
   const std::size_t nt = r.cols();
   if (nt == 0 || nt > kMaxLevels) {
     throw std::invalid_argument("PathPlan: need 1 <= Nt <= 32");
@@ -62,13 +61,12 @@ void PathPlanT<T>::compile_channel(const linalg::CMat& r,
   }
 }
 
-template <typename T>
-void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
-                                    std::span<const core::RankedPath> paths,
-                                    const modulation::Constellation& c,
-                                    const core::OrderingLut& lut,
-                                    bool exact_ordering,
-                                    core::InvalidEntryPolicy policy) {
+void PathPlan::compile_flexcore(const linalg::CMat& r,
+                                std::span<const core::RankedPath> paths,
+                                const modulation::Constellation& c,
+                                const core::OrderingLut& lut,
+                                bool exact_ordering,
+                                core::InvalidEntryPolicy policy) {
   compile_channel(r, c, /*with_diag_inverse=*/true);
   num_paths_ = paths.size();
   lut_ = &lut;
@@ -140,9 +138,8 @@ void PathPlanT<T>::compile_flexcore(const linalg::CMat& r,
   }
 }
 
-template <typename T>
-void PathPlanT<T>::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
-                                const modulation::Constellation& c) {
+void PathPlan::compile_fcsd(const linalg::CMat& r, std::size_t full_levels,
+                            const modulation::Constellation& c) {
   if (full_levels > r.cols()) {
     throw std::invalid_argument("PathPlan: fcsd full_levels > Nt");
   }
@@ -235,10 +232,9 @@ inline V splat(T s) noexcept {
 
 }  // namespace
 
-template <typename T>
 FLEXCORE_HOT_PATH
-void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
-                              double out[kLanes]) const {
+void PathPlan::eval_block(const linalg::cplx* ybar, std::size_t block,
+                          double out[kLanes]) const {
   const std::size_t nt = nt_;
   const std::size_t q = static_cast<std::size_t>(q_);
   const std::size_t path0 = block * kLanes;
@@ -246,7 +242,7 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
   // Lane-parallel walk state: lane = path.  Same per-level recurrence as
   // the scalar path_metric, with the complex arithmetic written split over
   // LaneVec registers (element-wise, branch-free).
-  using VecT = typename LaneVecOf<T, kLanes>::type;
+  using VecT = LaneVecOf<double, kLanes>::type;
   VecT br, bi;
   VecT er{}, ei{};
   VecT acc{};
@@ -261,10 +257,10 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
     const std::size_t i = nt - 1 - ii;
 
     // b = ybar[i] - sum_{j>i} R(i,j) * s[j]  (Eq. 5 numerator), all lanes.
-    br = splat<VecT>(static_cast<T>(ybar[i].real()));
-    bi = splat<VecT>(static_cast<T>(ybar[i].imag()));
-    const T* rrow_re = r_.re.data() + i * nt;
-    const T* rrow_im = r_.im.data() + i * nt;
+    br = splat<VecT>(ybar[i].real());
+    bi = splat<VecT>(ybar[i].imag());
+    const double* rrow_re = r_.re.data() + i * nt;
+    const double* rrow_im = r_.im.data() + i * nt;
     for (std::size_t j = i + 1; j < nt; ++j) {
       const VecT rr = splat<VecT>(rrow_re[j]);
       const VecT rj = splat<VecT>(rrow_im[j]);
@@ -285,12 +281,12 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
         // division stays std::complex (the scalar kernel's exact library
         // semantics), the slice is the same round-and-clamp inlined.
         // flexcore-lint: allow-next-line(HP005) scalar-exact library division
-        const std::complex<T> rd{rrow_re[i], rrow_im[i]};
+        const linalg::cplx rd{rrow_re[i], rrow_im[i]};
         for (std::size_t l = 0; l < kLanes; ++l) {
           // flexcore-lint: allow-next-line(HP005) scalar-exact library division
-          const std::complex<T> bq = std::complex<T>{br[l], bi[l]} / rd;
-          const double qr = static_cast<double>(bq.real());
-          const double qi = static_cast<double>(bq.imag());
+          const linalg::cplx bq = linalg::cplx{br[l], bi[l]} / rd;
+          const double qr = bq.real();
+          const double qi = bq.imag();
           const int ir = std::clamp(
               round_half_away((qr * inv_scale_ + (side_ - 1)) / 2.0), 0,
               side_ - 1);
@@ -319,8 +315,8 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
         // table gathers and bounds checks).
         double ar[kLanes], aq[kLanes];
         for (std::size_t l = 0; l < kLanes; ++l) {
-          ar[l] = (static_cast<double>(er[l]) * inv_scale_ + (side_ - 1)) / 2.0;
-          aq[l] = (static_cast<double>(ei[l]) * inv_scale_ + (side_ - 1)) / 2.0;
+          ar[l] = (er[l] * inv_scale_ + (side_ - 1)) / 2.0;
+          aq[l] = (ei[l] * inv_scale_ + (side_ - 1)) / 2.0;
         }
         if (all_rank_one_[block * nt + i]) {
           for (std::size_t l = 0; l < kLanes; ++l) {
@@ -336,10 +332,8 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
           for (std::size_t l = 0; l < kLanes; ++l) {
             const int cil = round_half_away(ar[l]);
             const int cql = round_half_away(aq[l]);
-            const double u = static_cast<double>(er[l]) -
-                             (2.0 * cil - (side_ - 1)) * scale_;
-            const double v = static_cast<double>(ei[l]) -
-                             (2.0 * cql - (side_ - 1)) * scale_;
+            const double u = er[l] - (2.0 * cil - (side_ - 1)) * scale_;
+            const double v = ei[l] - (2.0 * cql - (side_ - 1)) * scale_;
             const double au = std::fabs(u);
             const double av = std::fabs(v);
             ci[l] = cil;
@@ -378,8 +372,7 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
             xs[l] = 0;
             continue;
           }
-          const linalg::cplx eff{static_cast<double>(er[l]),
-                                 static_cast<double>(ei[l])};
+          const linalg::cplx eff{er[l], ei[l]};
           const int x = mode_ == Mode::kGenericRank
                             ? lut_->kth_symbol(eff, sel[l], policy_)
                             : c_->kth_nearest_exact(eff, sel[l]);
@@ -394,29 +387,27 @@ void PathPlanT<T>::eval_block(const linalg::cplx* ybar, std::size_t block,
     }
 
     // Decided point + partial Euclidean distance, all lanes.
-    const T* rx_re_row = rx_.re.data() + i * q;
-    const T* rx_im_row = rx_.im.data() + i * q;
+    const double* rx_re_row = rx_.re.data() + i * q;
+    const double* rx_im_row = rx_.im.data() + i * q;
     for (std::size_t l = 0; l < kLanes; ++l) {
       const std::int32_t x = xs[l];
       sre[i][l] = pt_.re[static_cast<std::size_t>(x)];
       sim[i][l] = pt_.im[static_cast<std::size_t>(x)];
-      const T dr = br[l] - rx_re_row[static_cast<std::size_t>(x)];
-      const T dj = bi[l] - rx_im_row[static_cast<std::size_t>(x)];
+      const double dr = br[l] - rx_re_row[static_cast<std::size_t>(x)];
+      const double dj = bi[l] - rx_im_row[static_cast<std::size_t>(x)];
       acc[l] += dr * dr + dj * dj;
     }
   }
 
   for (std::size_t l = 0; l < kLanes; ++l) {
-    out[l] = dead[l] ? std::numeric_limits<double>::infinity()
-                     : static_cast<double>(acc[l]);
+    out[l] = dead[l] ? std::numeric_limits<double>::infinity() : acc[l];
   }
 }
 
-template <typename T>
 FLEXCORE_HOT_PATH
-void PathPlanT<T>::path_metric_block(std::span<const linalg::cplx> ybar,
-                                     std::size_t first_path,
-                                     std::size_t n_paths, double* out) const {
+void PathPlan::path_metric_block(std::span<const linalg::cplx> ybar,
+                                 std::size_t first_path, std::size_t n_paths,
+                                 double* out) const {
   assert(compiled() && ybar.size() == nt_);
   assert(first_path + n_paths <= num_paths_);
   double tmp[kLanes];
@@ -432,18 +423,14 @@ void PathPlanT<T>::path_metric_block(std::span<const linalg::cplx> ybar,
   }
 }
 
-template <typename T>
-std::size_t PathPlanT<T>::footprint_bytes() const noexcept {
-  const auto split = [](const linalg::SplitVec<T>& v) {
-    return (v.re.size() + v.im.size()) * sizeof(T);
+std::size_t PathPlan::footprint_bytes() const noexcept {
+  const auto split = [](const linalg::SplitVec& v) {
+    return (v.re.size() + v.im.size()) * sizeof(double);
   };
   return split(r_) + split(rdi_) + split(rx_) + split(pt_) +
          ranks_.size() * sizeof(std::int32_t) + all_rank_one_.size() +
          lut_di_.size() + lut_dq_.size() + powq_.size() * sizeof(std::size_t);
 }
-
-template class PathPlanT<double>;
-template class PathPlanT<float>;
 
 // ---------------------------------------------------------------------------
 // PathPlanI16 — the quantized tier.
@@ -469,7 +456,7 @@ template class PathPlanT<float>;
 // scale in the middle 254 buckets.  Buckets 0 and 255 absorb the whole
 // out-of-coverage tail and always hold the kSlicerInvalid sentinel, as do
 // all 256 buckets of a level whose 1/R(i,i) is non-finite (rank-deficient
-// channel — the fp tiers' NaN clamp deactivates those lanes; the sentinel
+// channel — the fp64 tier's NaN clamp deactivates those lanes; the sentinel
 // does the same here).
 // ---------------------------------------------------------------------------
 
@@ -665,7 +652,7 @@ const I16Kernels g_i16_kernels = pick_i16_kernels();
 void PathPlanI16::compile_channel(const linalg::CMat& r,
                                   const modulation::Constellation& c,
                                   bool /*with_diag_inverse*/) {
-  // (The fp tiers skip 1/R(i,i) for FCSD; the quantized tier always
+  // (The fp64 tier skips 1/R(i,i) for FCSD; the quantized tier always
   // compiles it — the greedy FCSD slice runs through the same LUT slicer.)
   const std::size_t nt = r.cols();
   if (nt == 0 || nt > kMaxLevels) {
@@ -737,11 +724,12 @@ void PathPlanI16::compile_channel(const linalg::CMat& r,
   // Quantized channel state.
   const double fs = std::ldexp(1.0, fbits_);
   const double ps = std::ldexp(1.0, pbits_);
-  r_q_.resize(nt * nt);
+  r_re_q_.resize(nt * nt);
+  r_im_q_.resize(nt * nt);
   for (std::size_t i = 0; i < nt; ++i) {
     for (std::size_t j = 0; j < nt; ++j) {
-      r_q_.re[i * nt + j] = quantize_i16(r(i, j).real() * fs);
-      r_q_.im[i * nt + j] = quantize_i16(r(i, j).imag() * fs);
+      r_re_q_[i * nt + j] = quantize_i16(r(i, j).real() * fs);
+      r_im_q_[i * nt + j] = quantize_i16(r(i, j).imag() * fs);
     }
   }
   // rx rows are affine in the axis indices: rx[i][x] = R(i,i) * point(x)
@@ -994,10 +982,7 @@ int PathPlanI16::slicer_center(std::size_t level, double eff) const {
 }
 
 std::size_t PathPlanI16::footprint_bytes() const noexcept {
-  const auto split = [](const linalg::SplitVec<std::int16_t>& v) {
-    return (v.re.size() + v.im.size()) * sizeof(std::int16_t);
-  };
-  return split(r_q_) +
+  return (r_re_q_.size() + r_im_q_.size()) * sizeof(std::int16_t) +
          (rx_pack_.size() + pt_pack_.size()) * sizeof(std::int32_t) +
          (rdi_re_q_.size() + rdi_im_q_.size()) * sizeof(std::int16_t) +
          (rh_re_q_.size() + rh_im_q_.size()) * sizeof(std::int32_t) +
@@ -1037,8 +1022,8 @@ void PathPlanI16::path_metric_block(std::span<const linalg::cplx> ybar,
   st.pt_half = pt_half_q_;
   st.mode = static_cast<int>(mode_);
   st.metric_unscale = metric_unscale_;
-  st.r_re = r_q_.re.data();
-  st.r_im = r_q_.im.data();
+  st.r_re = r_re_q_.data();
+  st.r_im = r_im_q_.data();
   st.rx_pack = rx_pack_.data();
   st.pt_pack = pt_pack_.data();
   st.rdi_re = rdi_re_q_.data();

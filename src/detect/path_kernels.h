@@ -21,12 +21,12 @@
 //    auto-vectorizer turns into SIMD, with scalar gathers only for the
 //    data-dependent k-th-symbol lookups.
 //
-// The plan is templated on the compute scalar: PathPlan (double) is
+// Two compute tiers share this contract: PathPlan (double) is
 // bit-identical to the detector's scalar path_metric — same operations in
 // the same order on the same values, verified by tests/kernel_test.cpp —
-// while PathPlanF (float) is the reduced-precision tier in the spirit of
-// the paper's fixed-point FPGA datapath (selected by Precision::kFloat32 /
-// the ":fp32" registry spec suffix; see README "Kernel engine & precision
+// and PathPlanI16 is the quantized tier, the CPU version of the paper's
+// 16-bit fixed-point FPGA datapath (selected by Precision::kInt16 / the
+// ":i16" registry spec suffix; see README "Kernel engine & precision
 // tiers" for when it is safe).
 #pragma once
 
@@ -44,40 +44,37 @@
 
 namespace flexcore::detect {
 
-/// Compute tier of the path kernels (and anything else that grows a
-/// reduced-precision variant).  kFloat64 is the exact tier; kFloat32
-/// evaluates the path grid in single precision; kInt16 runs the quantized
-/// fixed-point tier (PathPlanI16) — winner reconstruction and everything
-/// outside the grid stays double in every tier.
+/// Compute tier of the path kernels.  kFloat64 is the exact tier
+/// (PathPlan); kInt16 runs the quantized fixed-point tier (PathPlanI16) —
+/// winner reconstruction and everything outside the grid stays double in
+/// both tiers.
 enum class Precision {
   kFloat64,
-  kFloat32,
   kInt16,
 };
 
-/// Registry spec suffix of a tier ("" for fp64, ":fp32" for fp32, ":i16"
-/// for the quantized tier), the grammar api::make_detector parses and
-/// Detector::name round-trips.
+/// Registry spec suffix of a tier ("" for fp64, ":i16" for the quantized
+/// tier), the grammar api::make_detector parses and Detector::name
+/// round-trips.
 constexpr const char* precision_suffix(Precision p) noexcept {
-  return p == Precision::kFloat32  ? ":fp32"
-         : p == Precision::kInt16  ? ":i16"
-                                   : "";
+  return p == Precision::kInt16 ? ":i16" : "";
 }
 
 /// Documented accuracy gate of the ":i16" tier: measured 64-QAM SER of the
 /// quantized grid may exceed the fp64 grid's SER by at most this, absolute,
-/// on the standard sweeps (the fp32 analogue is 5e-3).  Enforced by
-/// tests/kernel_test.cpp, bench/ablation_fixed_point.cpp and
-/// bench/fig17_kernel_engine.cpp; the control plane's degrade ladder
-/// assumes this bound when it sheds to ":i16" under load.
+/// on the standard sweeps (measured gap 0-1.1e-3, the upper end on
+/// fig17's 22 dB SER gate).  Enforced by tests/kernel_test.cpp,
+/// bench/ablation_fixed_point.cpp and bench/fig17_kernel_engine.cpp; the
+/// control plane's degrade ladder assumes this bound when its first
+/// precision rung sheds to ":i16" under load.
 inline constexpr double kI16SerTolerance = 1e-2;
 
 /// A compiled, SoA-blocked path set for one installed channel.  Compile
 /// once per set_channel (cheap next to QR + path selection), evaluate with
 /// path_metric_block from any thread — the plan is immutable after
-/// compilation and evaluation touches only stack scratch.
-template <typename T>
-class PathPlanT {
+/// compilation and evaluation touches only stack scratch.  The exact tier:
+/// metrics are bit-identical to the scalar kernels.
+class PathPlan {
  public:
   /// Paths per block (lanes per path_metric_block call).
   static constexpr std::size_t kLanes = linalg::kSimdLanes;
@@ -111,7 +108,7 @@ class PathPlanT {
   /// Evaluates paths [first_path, first_path + n_paths) against the rotated
   /// vector `ybar` (length levels()), writing one Euclidean metric per path
   /// to `out` (+infinity for deactivated paths).  Equals the detector's
-  /// scalar path_metric per path — bitwise for T = double.  Whole blocks
+  /// scalar path_metric per path, bitwise.  Whole blocks
   /// are evaluated internally, so aligning first_path to kLanes avoids
   /// wasted lanes; any alignment is correct.
   void path_metric_block(std::span<const linalg::cplx> ybar,
@@ -119,8 +116,7 @@ class PathPlanT {
                          double* out) const;
 
   /// Heap bytes of the compiled plan (channel state + selector tables) —
-  /// the footprint the precision tiers halve step by step; reported by
-  /// bench/micro_kernels.cpp.
+  /// the footprint the i16 tier cuts; reported by bench/micro_kernels.cpp.
   std::size_t footprint_bytes() const noexcept;
 
  private:
@@ -148,7 +144,7 @@ class PathPlanT {
   // Channel state, split re/im.  R rows are stored dense row-major (only
   // the upper triangle is read); rdi is 1/R(i,i); rx[i*q + x] is
   // R(i,i) * point(x); pt is the constellation point table.
-  linalg::SplitVec<T> r_, rdi_, rx_, pt_;
+  linalg::SplitVec r_, rdi_, rx_, pt_;
 
   // FlexCore selector table, path-major-blocked:
   //   ranks_[(block * nt_ + level) * kLanes + lane]
@@ -173,26 +169,18 @@ class PathPlanT {
   core::InvalidEntryPolicy policy_ = core::InvalidEntryPolicy::kDeactivate;
 };
 
-/// The exact tier (bit-identical to the scalar kernels).
-using PathPlan = PathPlanT<double>;
-/// The reduced-precision tier (paper's fixed-point datapath analogue).
-using PathPlanF = PathPlanT<float>;
-
-extern template class PathPlanT<double>;
-extern template class PathPlanT<float>;
-
 /// The quantized tier (":i16"): the paper's 16-bit FPGA datapath (§5.3,
 /// Table 3) mapped onto CPU SIMD.  Same compile/evaluate contract as
-/// PathPlanT, different number format:
+/// PathPlan, different number format:
 ///
 ///  * Channel state is stored as int16 SoA (R rows, R(i,i)*point tables,
 ///    constellation points) under per-plan scale factors computed at
 ///    compile (set_channel) time — power-of-two scales chosen so the whole
 ///    interference-cancellation recurrence is overflow-free in int32 and
 ///    the fractional resolution never exceeds the shared Q-format
-///    (perfmodel::I16Format, Q4.11).  Halving the element width halves the
-///    plan footprint and doubles the lanes per SIMD register vs fp32, so
-///    blocks are kLanes = 16 paths wide.
+///    (perfmodel::I16Format, Q4.11).  The int16 elements shrink the plan
+///    footprint, and the 32-bit accumulators fit twice the lanes of fp64
+///    per SIMD register, so blocks are kLanes = 16 paths wide.
 ///  * The per-level walk runs in 32-bit integer lanes: b accumulates exact
 ///    int32 products of int16 values, the effective point is an int32
 ///    product against the quantized 1/R(i,i), and the Euclidean metric
@@ -209,7 +197,7 @@ extern template class PathPlanT<float>;
 /// accuracy vs fp64 is bounded by kI16SerTolerance, not bit-identity.
 class PathPlanI16 {
  public:
-  /// Paths per block: twice the fp tier (int32 accumulator lanes).
+  /// Paths per block: twice the fp64 tier (int32 accumulator lanes).
   static constexpr std::size_t kLanes = linalg::kSimdLanesI16;
   static constexpr std::size_t kMaxLevels = PathPlan::kMaxLevels;
   /// Entries per compiled per-level slicer table.
@@ -223,7 +211,7 @@ class PathPlanI16 {
   /// outside before the bounds check kills the lane).
   static constexpr int kPamPad = 4;
 
-  /// Same contracts as PathPlanT::compile_flexcore / compile_fcsd.
+  /// Same contracts as PathPlan::compile_flexcore / compile_fcsd.
   void compile_flexcore(const linalg::CMat& r,
                         std::span<const core::RankedPath> paths,
                         const modulation::Constellation& c,
@@ -237,14 +225,14 @@ class PathPlanI16 {
   std::size_t num_paths() const noexcept { return num_paths_; }
   std::size_t levels() const noexcept { return nt_; }
 
-  /// Same contract as PathPlanT::path_metric_block; metrics are the
+  /// Same contract as PathPlan::path_metric_block; metrics are the
   /// quantized grid's distances (double-valued, +infinity for deactivated
   /// paths), suitable for the same min-reduction.
   void path_metric_block(std::span<const linalg::cplx> ybar,
                          std::size_t first_path, std::size_t n_paths,
                          double* out) const;
 
-  /// Heap bytes of the compiled plan (the footprint the tier halves).
+  /// Heap bytes of the compiled plan (the footprint the tier cuts).
   std::size_t footprint_bytes() const noexcept;
 
   // --- quantization introspection (tests / benches) ----------------------
@@ -295,7 +283,7 @@ class PathPlanI16 {
   double ybar_cap_raw_ = 0.0;
 
   // Quantized R rows, split re/im, int16 raw values (see class comment).
-  linalg::SplitVec<std::int16_t> r_q_;
+  std::vector<std::int16_t> r_re_q_, r_im_q_;
 
   /// Per-level quantized complex row step rh = R(i,i) * scale * 2^F: the
   /// rx table is exactly affine in the doubled axis offsets with this
@@ -313,7 +301,7 @@ class PathPlanI16 {
   // Quantized 1/R(i,i): raw int16 pair at per-level scale 2^gbits_[i]
   // (a non-finite inverse — rank-deficient channel — compiles to raw 0,
   // which drives every slice out of coverage and deactivates the lane,
-  // mirroring the fp tiers' NaN clamp).
+  // mirroring the fp64 tier's NaN clamp).
   std::vector<std::int16_t> rdi_re_q_, rdi_im_q_;
   std::vector<int> gbits_;
 
@@ -350,13 +338,13 @@ class PathPlanI16 {
   std::vector<std::int32_t> pam_q_;
   int pam_span_ = 0;
 
-  // FlexCore selector table, path-major-blocked exactly like PathPlanT but
+  // FlexCore selector table, path-major-blocked exactly like PathPlan but
   // kLanes = 16 wide and int16 entries (ranks <= 256).
   std::vector<std::int16_t> ranks_;
   // fix_mask_[block * nt_ + level]: bit l set when lane l must take the
   // scalar table path at that level (rank > 1, or a LUT whose first entry
   // is not the slicer center).  The finer per-LANE grain — versus
-  // PathPlanT's per-block all_rank_one_ — matters at kLanes = 16: one
+  // PathPlan's per-block all_rank_one_ — matters at kLanes = 16: one
   // rank-2 path no longer drags fifteen rank-1 neighbours off the vector
   // fast path.
   std::vector<std::uint32_t> fix_mask_;

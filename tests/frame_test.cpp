@@ -432,12 +432,12 @@ TEST(PathGrid, SteadyStateGridDoesNotAllocate) {
   }
 }
 
-TEST(Frame, Fp32TierRunsAndStaysClose) {
-  // The ":fp32" compute tier flows end-to-end through the pipeline: the
-  // frame grid runs the single-precision block kernels, winner
-  // reconstruction stays double, and at a comfortable SNR the symbol
-  // decisions match the fp64 tier on the overwhelming majority of
-  // vectors (tests/kernel_test.cpp quantifies the SER gap properly).
+TEST(Frame, I16TierRunsAndStaysClose) {
+  // The ":i16" compute tier flows end-to-end through the pipeline: the
+  // frame grid runs the quantized block kernels, winner reconstruction
+  // stays double, and at a comfortable SNR the symbol decisions match the
+  // fp64 tier on the overwhelming majority of vectors (tests/kernel_test.cpp
+  // quantifies the SER gap against kI16SerTolerance).
   const double nv = ch::noise_var_for_snr_db(18.0);
   Constellation c(16);
   const Frame fr = make_frame(c, 8, 6, 6, 6, nv, 43);
@@ -448,20 +448,26 @@ TEST(Frame, Fp32TierRunsAndStaysClose) {
   c64.threads = 2;
   fa::UplinkPipeline p64(c64);
 
-  fa::PipelineConfig c32 = c64;
-  c32.precision = flexcore::detect::Precision::kFloat32;
-  fa::UplinkPipeline p32(c32);
-  EXPECT_EQ(p32.detector().name(), "flexcore-16:fp32");
+  fa::PipelineConfig c16 = c64;
+  c16.precision = flexcore::detect::Precision::kInt16;
+  fa::UplinkPipeline p16(c16);
+  EXPECT_EQ(p16.detector().name(), "flexcore-16:i16");
+  // name() round-trips: a pipeline built from the reported spec (with the
+  // knob at its fp64 default) selects the same tier.
+  fa::PipelineConfig from_name = c64;
+  from_name.detector = p16.detector().name();
+  EXPECT_EQ(fa::UplinkPipeline(from_name).detector().name(),
+            p16.detector().name());
 
   const fa::FrameResult r64 = p64.detect_frame(job_of(fr, nv));
-  const fa::FrameResult r32 = p32.detect_frame(job_of(fr, nv));
-  ASSERT_EQ(r32.results.size(), r64.results.size());
+  const fa::FrameResult r16 = p16.detect_frame(job_of(fr, nv));
+  ASSERT_EQ(r16.results.size(), r64.results.size());
   std::size_t disagreements = 0;
   for (std::size_t v = 0; v < r64.results.size(); ++v) {
-    disagreements += r32.results[v].symbols != r64.results[v].symbols;
+    disagreements += r16.results[v].symbols != r64.results[v].symbols;
   }
   EXPECT_LE(disagreements, r64.results.size() / 10)
-      << "fp32 tier diverged from fp64 on too many vectors";
+      << "i16 tier diverged from fp64 on too many vectors";
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the lane-parallel path-kernel engine (detect/path_kernels.h):
 // fp64 block kernels bit-identical to the scalar path_metric across
-// detector families x constellations x MIMO sizes, the fp32 tier within a
-// documented SER tolerance on a fig12-style sweep, and the ":fp32" spec
-// grammar round-tripping through the registry.
+// detector families x constellations x MIMO sizes, the ":i16" tier within
+// kI16SerTolerance and pinned to a golden metric hash, and the precision
+// spec grammar round-tripping through the registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,31 +15,21 @@
 #include <vector>
 
 #include "api/detector_registry.h"
-#include "api/uplink_pipeline.h"
 #include "channel/channel.h"
 #include "core/flexcore_detector.h"
 #include "detect/fcsd.h"
 #include "detect/path_kernels.h"
 #include "parallel/thread_pool.h"
 #include "perfmodel/fixed_point.h"
-#include "sim/frame_synth.h"
 
 namespace fa = flexcore::api;
 namespace ch = flexcore::channel;
 namespace fc = flexcore::core;
 namespace fd = flexcore::detect;
-namespace fs = flexcore::sim;
 namespace fl = flexcore::linalg;
 using flexcore::modulation::Constellation;
 
 namespace {
-
-/// Documented fp32 tolerance: the single-precision tier may move the
-/// measured SER by at most this much (absolute) relative to fp64 on a
-/// Rayleigh sweep at operating SNRs.  In practice the gap is orders of
-/// magnitude smaller — fp32 keeps ~7 significant digits and the metric
-/// margins between winning and runner-up paths are far coarser.
-constexpr double kFp32SerTolerance = 5e-3;
 
 fl::CVec random_y(const fl::CMat& h, const Constellation& c, double nv,
                   ch::Rng& rng) {
@@ -188,69 +178,24 @@ TEST(KernelEquivalence, MisalignedBlockRangesMatch) {
   }
 }
 
-// ----------------------------------------------------- fp32 compute tier
-
-TEST(KernelPrecision, Fp32SerWithinToleranceOnSweep) {
-  // fig12-style sweep: Rayleigh channels, 8 users, 64-QAM, across the
-  // operating SNR range; the fp32 tier's SER may not exceed fp64's by more
-  // than the documented tolerance.
-  Constellation c(64);
-  const std::size_t nt = 8, nsc = 24, nv = 8;
-
-  for (double snr_db : {16.0, 20.0, 24.0}) {
-    const double noise = ch::noise_var_for_snr_db(snr_db);
-    const fs::SynthFrame fr = fs::synth_frame(
-        c, nsc, nv, nt, nt, noise, 5000 + static_cast<std::uint64_t>(snr_db));
-
-    fa::PipelineConfig c64;
-    c64.detector = "flexcore-64";
-    c64.qam_order = 64;
-    c64.threads = 2;
-    fa::UplinkPipeline p64(c64);
-
-    fa::PipelineConfig c32 = c64;
-    c32.precision = fd::Precision::kFloat32;
-    fa::UplinkPipeline p32(c32);
-
-    const auto r64 = p64.detect_frame(fs::frame_job_of(fr, noise));
-    const auto r32 = p32.detect_frame(fs::frame_job_of(fr, noise));
-    const double symbols = static_cast<double>(nsc * nv * nt);
-    const double ser64 =
-        static_cast<double>(fs::count_symbol_errors(fr, r64.results)) / symbols;
-    const double ser32 =
-        static_cast<double>(fs::count_symbol_errors(fr, r32.results)) / symbols;
-    EXPECT_LE(ser32, ser64 + kFp32SerTolerance)
-        << "snr=" << snr_db << " ser64=" << ser64 << " ser32=" << ser32;
-  }
-}
-
 // ------------------------------------------------------- spec grammar
 
 TEST(KernelSpecs, PrecisionSuffixRoundTripsThroughRegistry) {
   Constellation c(16);
   const fa::DetectorConfig cfg{.constellation = &c};
-  for (const char* spec :
-       {"flexcore-16:fp32", "a-flexcore-8:fp32", "fcsd-L1:fp32"}) {
-    const auto det = fa::make_detector(spec, cfg);
-    EXPECT_EQ(det->name(), spec);
-    // name() round-trips: constructing from the reported name reproduces
-    // the same detector spelling.
-    EXPECT_EQ(fa::make_detector(det->name(), cfg)->name(), det->name());
-  }
   // ":fp64" is accepted and normalizes to the suffix-free spelling.
   EXPECT_EQ(fa::make_detector("flexcore-16:fp64", cfg)->name(),
             "flexcore-16");
-  // The config knob selects the tier without a suffix...
-  fa::DetectorConfig fp32 = cfg;
-  fp32.precision = fd::Precision::kFloat32;
-  EXPECT_EQ(fa::make_detector("flexcore-16", fp32)->name(),
-            "flexcore-16:fp32");
-  // ...and an explicit suffix overrides the knob.
-  EXPECT_EQ(fa::make_detector("flexcore-16:fp64", fp32)->name(),
-            "flexcore-16");
-  // Families without a reduced-precision tier reject the suffix.
-  EXPECT_THROW(fa::make_detector("zf:fp32", cfg), std::invalid_argument);
-  EXPECT_THROW(fa::make_detector("kbest-8:fp32", cfg), std::invalid_argument);
+  EXPECT_EQ(fa::make_detector("fcsd-L1:fp64", cfg)->name(), "fcsd-L1");
+  // fp64 and i16 are the only tiers: any other suffix is an unknown spec.
+  for (const char* spec :
+       {"flexcore-16:fp32", "fcsd-L1:fp32", "a-flexcore-8:fp32"}) {
+    EXPECT_THROW(fa::make_detector(spec, cfg), std::invalid_argument)
+        << spec;
+  }
+  // Families without block kernels reject even the fp64 suffix.
+  EXPECT_THROW(fa::make_detector("zf:fp64", cfg), std::invalid_argument);
+  EXPECT_THROW(fa::make_detector("kbest-8:fp64", cfg), std::invalid_argument);
 }
 
 // ----------------------------------------------------- int16 quantized tier
@@ -441,22 +386,20 @@ TEST(KernelI16, MetricsBitIdenticalAcrossRepeatsAndGolden) {
 
 TEST(KernelI16, FootprintOrderingAcrossTiers) {
   // The storage story of the tier ladder: int16 SoA plans are smaller than
-  // fp32 plans, which are smaller than fp64 plans, for the same channel.
+  // fp64 plans for the same channel.
   Constellation c(64);
   ch::Rng rng(33);
   const auto h = ch::rayleigh_iid(12, 12, rng);
   const double nv = ch::noise_var_for_snr_db(18.0);
-  std::size_t bytes[3] = {0, 0, 0};
-  const char* specs[3] = {"flexcore-128:i16", "flexcore-128:fp32",
-                          "flexcore-128"};
-  for (int t = 0; t < 3; ++t) {
+  std::size_t bytes[2] = {0, 0};
+  const char* specs[2] = {"flexcore-128:i16", "flexcore-128"};
+  for (int t = 0; t < 2; ++t) {
     const auto det = fa::make_detector_as<fc::FlexCoreDetector>(
         specs[t], {.constellation = &c});
     det->set_channel(h, nv);
     bytes[t] = det->plan_footprint_bytes();
   }
-  EXPECT_LT(bytes[0], bytes[1]) << "i16 plan must undercut fp32";
-  EXPECT_LT(bytes[1], bytes[2]) << "fp32 plan must undercut fp64";
+  EXPECT_LT(bytes[0], bytes[1]) << "i16 plan must undercut fp64";
 }
 
 TEST(KernelI16, SpecGrammarRoundTripsAndRejects) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -209,17 +210,25 @@ TEST(ThreadPool, AffinityPinsSpawnedWorkersOnly) {
   // cpu; worker 0 (this thread) is wherever the scheduler left it.
   std::atomic<int> off_target{0};
   std::atomic<int> spawned_seen{0};
-  // A round where worker 0 races through every chunk proves nothing; retry
-  // until a spawned worker participated (virtually always round one).
-  for (int round = 0; round < 50 && spawned_seen.load() == 0; ++round) {
-    pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
-      if (w == 0) return;
-      spawned_seen.fetch_add(1, std::memory_order_relaxed);
-      if (sched_getcpu() != target) {
-        off_target.fetch_add(1, std::memory_order_relaxed);
+  // A run where worker 0 races through every chunk proves nothing, and
+  // the pinned workers may share worker 0's cpu: worker 0 holds on to its
+  // first index, yielding, until a spawned worker has claimed a chunk
+  // (bounded at ~2 s so a broken pool fails the assertion, not the suite).
+  const auto hold_until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  pool.parallel_for_worker(10000, [&](std::size_t w, std::size_t) {
+    if (w == 0) {
+      while (spawned_seen.load() == 0 &&
+             std::chrono::steady_clock::now() < hold_until) {
+        std::this_thread::yield();
       }
-    });
-  }
+      return;
+    }
+    spawned_seen.fetch_add(1, std::memory_order_relaxed);
+    if (sched_getcpu() != target) {
+      off_target.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
   EXPECT_EQ(off_target.load(), 0);
   // On a single-cpu machine the submitting thread can legitimately starve
   // the pinned workers of chunks (everyone shares the one core), so only

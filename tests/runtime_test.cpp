@@ -439,6 +439,110 @@ TEST(Runtime, DeadlineExpireFullQueueWaitsForStalenessNotForever) {
   EXPECT_EQ(rs.frames_out, 1u);
 }
 
+// ------------------------------------------ coherence reuse after a shed
+
+// A FrameJob with reuse_preprocessing asserts its channels equal those of
+// the cell's previous frame.  When that previous frame (the one opening
+// the coherence window) is shed, the pipeline still holds an older
+// channel's preprocessing: the reuse frame must re-preprocess on its own
+// channels instead of being detected against the old ones.
+
+TEST(Runtime, ReuseAfterExpiredOpenerDetectsOnItsOwnChannel) {
+  // Both expiry paths: kExpired at dispatch (queue not full) and kExpired
+  // in the admission sweep (queue full).
+  for (const std::size_t capacity : {4u, 1u}) {
+    SCOPED_TRACE(capacity == 1 ? "expired in admission sweep"
+                               : "expired at dispatch");
+    fa::RuntimeConfig rcfg;
+    rcfg.threads = 1;
+    rcfg.dispatchers = 0;
+    rcfg.queue_capacity = capacity;
+    rcfg.policy = fa::QueuePolicy::kDeadlineExpire;
+    fa::Runtime rt(rcfg);
+    fa::Cell& cell =
+        rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+    const double nv = ch::noise_var_for_snr_db(14.0);
+    const Frame on_a = make_frame(cell.constellation(), 4, 2, 4, 4, nv, 65);
+    const Frame on_b = make_frame(cell.constellation(), 4, 2, 4, 4, nv, 66);
+
+    fa::FrameTicket first = rt.submit(cell, job_of(on_a, nv));
+    ASSERT_TRUE(rt.run_one());
+    ASSERT_EQ(first.wait(), fa::TicketStatus::kDone);
+
+    fa::FrameTicket opener =
+        rt.submit(cell, job_of(on_b, nv), /*deadline_us=*/1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    fa::FrameJob reuse_job = job_of(on_b, nv);
+    reuse_job.reuse_preprocessing = true;
+    fa::FrameTicket reuse = rt.submit(cell, reuse_job);
+    while (rt.run_one()) {
+    }
+
+    EXPECT_EQ(opener.wait(), fa::TicketStatus::kExpired);
+    ASSERT_EQ(reuse.wait(), fa::TicketStatus::kDone);
+    EXPECT_GT(reuse.try_get()->channels_installed, 0u);
+    expect_bit_identical(reuse.try_get()->results,
+                         sync_reference("flexcore-8", 16, on_b, nv),
+                         "reuse after expired opener");
+    expect_consistent(rt.stats());
+  }
+}
+
+TEST(Runtime, ReuseAfterDroppedOpenerDetectsOnItsOwnChannel) {
+  // kDropNewest at capacity: the opener is dropped at submit while an
+  // earlier frame on channel A is still queued.  That earlier frame runs
+  // (and completes) AFTER the drop, so the guard cannot be a flag the next
+  // completion clears: the reuse frame must still re-preprocess.  The
+  // queued frame itself precedes the drop, so its own reuse still holds.
+  fa::RuntimeConfig rcfg;
+  rcfg.threads = 1;
+  rcfg.dispatchers = 0;
+  rcfg.queue_capacity = 1;
+  rcfg.policy = fa::QueuePolicy::kDropNewest;
+  fa::Runtime rt(rcfg);
+  fa::Cell& cell = rt.open_cell({.detector = "flexcore-8", .qam_order = 16});
+  const double nv = ch::noise_var_for_snr_db(14.0);
+  const Frame on_a = make_frame(cell.constellation(), 4, 2, 4, 4, nv, 67);
+  const Frame on_b = make_frame(cell.constellation(), 4, 2, 4, 4, nv, 68);
+
+  fa::FrameTicket first = rt.submit(cell, job_of(on_a, nv));
+  ASSERT_TRUE(rt.run_one());
+  fa::FrameJob reuse_a = job_of(on_a, nv);
+  reuse_a.reuse_preprocessing = true;
+  fa::FrameTicket queued = rt.submit(cell, reuse_a);
+  fa::FrameTicket opener = rt.submit(cell, job_of(on_b, nv));
+  EXPECT_EQ(opener.status(), fa::TicketStatus::kDropped);
+  ASSERT_TRUE(rt.run_one());  // the queued channel-A frame completes now
+
+  fa::FrameJob reuse_job = job_of(on_b, nv);
+  reuse_job.reuse_preprocessing = true;
+  fa::FrameTicket reuse = rt.submit(cell, reuse_job);
+  while (rt.run_one()) {
+  }
+
+  EXPECT_EQ(first.wait(), fa::TicketStatus::kDone);
+  ASSERT_EQ(queued.wait(), fa::TicketStatus::kDone);
+  EXPECT_EQ(queued.try_get()->channels_installed, 0u);
+  expect_bit_identical(queued.try_get()->results,
+                       sync_reference("flexcore-8", 16, on_a, nv),
+                       "reuse queued before the drop");
+  ASSERT_EQ(reuse.wait(), fa::TicketStatus::kDone);
+  EXPECT_GT(reuse.try_get()->channels_installed, 0u);
+  expect_bit_identical(reuse.try_get()->results,
+                       sync_reference("flexcore-8", 16, on_b, nv),
+                       "reuse after dropped opener");
+
+  // Once a frame has run on the new window, reuse is honoured again.
+  fa::FrameTicket next = rt.submit(cell, reuse_job);
+  ASSERT_TRUE(rt.run_one());
+  ASSERT_EQ(next.wait(), fa::TicketStatus::kDone);
+  EXPECT_EQ(next.try_get()->channels_installed, 0u);
+  expect_bit_identical(next.try_get()->results,
+                       sync_reference("flexcore-8", 16, on_b, nv),
+                       "reuse after recovery");
+  expect_consistent(rt.stats());
+}
+
 // -------------------------------------------------------- drain + lifecycle
 
 TEST(Runtime, DrainCompletesEverythingWithDispatchers) {
