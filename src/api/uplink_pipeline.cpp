@@ -168,6 +168,9 @@ void UplinkPipeline::require_channel(const char* where) const {
 }
 
 void UplinkPipeline::set_channel(const linalg::CMat& h, double noise_var) {
+  // A failed install (rank-deficient or non-finite H) leaves the detector
+  // without a usable channel, so the session holds none either.
+  channel_set_ = false;
   det_->set_channel(h, noise_var);
   channel_set_ = true;
   ++channel_installs_;

@@ -189,7 +189,10 @@ class UplinkPipeline {
   explicit UplinkPipeline(const PipelineConfig& cfg);
 
   /// Installs a new channel (runs the detector's per-channel
-  /// pre-processing).  Must be called before detect()/detect_soft().
+  /// pre-processing).  Must be called before detect()/detect_soft().  If
+  /// it throws (rank-deficient or non-finite H), the session holds no
+  /// channel: detect()/detect_one()/detect_soft() throw std::logic_error
+  /// until the next successful install.
   void set_channel(const linalg::CMat& h, double noise_var);
 
   /// Batched detection of vectors sharing the installed channel, through

@@ -1,8 +1,7 @@
 #include "core/adaptive_kbest.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
+#include <numeric>
 
 namespace flexcore::core {
 
@@ -10,12 +9,13 @@ using detect::DetectionStats;
 using linalg::cplx;
 
 void AdaptiveKBestDetector::set_channel(const CMat& h, double noise_var) {
-  qr_ = linalg::sorted_qr_wubben(h);
+  linalg::sorted_qr_wubben_into(h, &qr_);
   const std::size_t nt = qr_.R.cols();
   const int q = constellation_->order();
 
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
+  rx_.resize(nt);
   for (std::size_t i = 0; i < nt; ++i) {
+    rx_[i].resize(static_cast<std::size_t>(q));
     for (int x = 0; x < q; ++x) {
       rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
     }
@@ -29,21 +29,32 @@ void AdaptiveKBestDetector::set_channel(const CMat& h, double noise_var) {
   core::PreprocessingConfig pcfg;
   pcfg.num_paths = path_budget_;
   pcfg.pe_model = pe_model_;
-  const auto pre =
-      core::find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg);
-  level_k_.assign(nt, 1);
-  std::vector<std::set<std::string>> prefixes(nt);
-  for (const auto& rp : pre.paths) {
-    std::string key;
-    for (std::size_t ii = 0; ii < nt; ++ii) {
-      const std::size_t i = nt - 1 - ii;  // walk top level downwards
-      key += std::to_string(rp.p[i]);
-      key += ',';
-      prefixes[i].insert(key);
-    }
+  core::find_most_promising_paths_into(qr_.R, noise_var, *constellation_,
+                                       pcfg, &preproc_);
+  const std::vector<RankedPath>& paths = preproc_.paths;
+
+  // Sorted top level first, paths sharing a prefix down to level l are
+  // neighbours: a neighbour pair whose first difference from the top is at
+  // array index d starts one new prefix at every index <= d.
+  order_.resize(paths.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(paths[a].p.rbegin(), paths[a].p.rend(),
+                                        paths[b].p.rbegin(), paths[b].p.rend());
+  });
+  level_k_.assign(nt, 0);
+  for (std::size_t k = 1; k < order_.size(); ++k) {
+    const PositionVector& a = paths[order_[k - 1]].p;
+    const PositionVector& b = paths[order_[k]].p;
+    std::size_t d = nt;
+    while (d > 0 && a[d - 1] == b[d - 1]) --d;
+    if (d > 0) ++level_k_[d - 1];
   }
-  for (std::size_t i = 0; i < nt; ++i) {
-    level_k_[i] = std::max<std::size_t>(1, prefixes[i].size());
+  std::size_t prefixes = 1;
+  for (std::size_t ii = 0; ii < nt; ++ii) {
+    const std::size_t i = nt - 1 - ii;
+    prefixes += level_k_[i];
+    level_k_[i] = prefixes;
   }
 }
 

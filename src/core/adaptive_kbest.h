@@ -57,6 +57,9 @@ class AdaptiveKBestDetector : public Detector {
   linalg::QrResult qr_;
   std::vector<CVec> rx_;
   std::vector<std::size_t> level_k_;
+  // Per-channel scratch, reused across set_channel calls.
+  PreprocessingResult preproc_;
+  std::vector<std::size_t> order_;  ///< path indices, sorted top level first
 };
 
 }  // namespace flexcore::core

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "detect/path_grid.h"
 #include "obs/obs.h"
@@ -32,8 +33,15 @@ std::string FlexCoreDetector::name() const {
 }
 
 void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
+  // Every per-channel buffer below is rebuilt in place, so a warm detector
+  // installs a same-shape channel without touching the heap.  A throw
+  // (rank-deficient or non-finite H) leaves them half written: drop to
+  // "no channel" first, and only report paths once the install completed.
+  active_paths_ = 0;
+  plan64_.clear();
+  plan16_.clear();
   noise_var_ = noise_var;
-  qr_ = linalg::sorted_qr_wubben(h);
+  linalg::sorted_qr_wubben_into(h, &qr_);
 
   PreprocessingConfig pcfg;
   pcfg.num_paths = cfg_.num_pes;
@@ -42,33 +50,33 @@ void FlexCoreDetector::set_channel(const CMat& h, double noise_var) {
   pcfg.pe_model = cfg_.pe_model;
   pcfg.candidate_list_cap = cfg_.candidate_list_cap;
   pcfg.batch_expand = cfg_.batch_expand;
-  preproc_ = find_most_promising_paths(qr_.R, noise_var, *constellation_, pcfg);
-  active_paths_ = preproc_.paths.size();
+  find_most_promising_paths_into(qr_.R, noise_var, *constellation_, pcfg,
+                                 &preproc_);
 
   const std::size_t nt = qr_.R.cols();
   const int q = constellation_->order();
   r_diag_inv_.resize(nt);
-  rx_.assign(nt, CVec(static_cast<std::size_t>(q)));
+  rx_.resize(nt);
   for (std::size_t i = 0; i < nt; ++i) {
     r_diag_inv_[i] = cplx{1.0, 0.0} / qr_.R(i, i);
+    rx_[i].resize(static_cast<std::size_t>(q));
     for (int x = 0; x < q; ++x) {
       rx_[i][static_cast<std::size_t>(x)] = qr_.R(i, i) * constellation_->point(x);
     }
   }
 
   // Compile the selected path set into the block kernel's PathPlan (the
-  // configured precision tier only; the other tier's plan is dropped so
+  // configured precision tier only; the other tier's plan stays cleared so
   // stale state can never be evaluated).
   const bool exact = cfg_.ordering == OrderingMode::kExactSort;
   if (cfg_.precision == detect::Precision::kInt16) {
     plan16_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
                              exact, cfg_.invalid_policy);
-    plan64_.clear();
   } else {
     plan64_.compile_flexcore(qr_.R, preproc_.paths, *constellation_, lut_,
                              exact, cfg_.invalid_policy);
-    plan16_.clear();
   }
+  active_paths_ = preproc_.paths.size();
 }
 
 std::size_t FlexCoreDetector::active_paths() const { return active_paths_; }
@@ -266,7 +274,8 @@ bool FlexCoreDetector::reconstruct_winner(std::span<const cplx> ybar,
 
 void FlexCoreDetector::detect_batch(std::span<const CVec> ys,
                                     detect::BatchResult* out) const {
-  if (pool_ == nullptr || active_paths_ == 0 || ys.empty()) {
+  if (!ys.empty()) require_channel("detect_batch");
+  if (pool_ == nullptr || ys.empty()) {
     // Sequential loop with the base-class contract (full per-path
     // instrumentation, tasks = vector count), but with the SIC-fallback
     // counter kept consistent with the pooled grid path.
@@ -314,11 +323,21 @@ void FlexCoreDetector::detect_batch(std::span<const CVec> ys,
   }
 }
 
+void FlexCoreDetector::require_channel(const char* where) const {
+  if (active_paths_ == 0) {
+    throw std::logic_error(std::string("FlexCoreDetector::") + where +
+                           ": no channel installed (set_channel was not "
+                           "called or it failed)");
+  }
+}
+
 DetectionResult FlexCoreDetector::detect(const CVec& y) const {
+  require_channel("detect");
   return reduce(rotate(y), nullptr);
 }
 
 SoftOutput FlexCoreDetector::detect_soft(const CVec& y) const {
+  require_channel("detect_soft");
   const CVec ybar = rotate(y);
   std::vector<PathEval> all;
   all.reserve(active_paths_);

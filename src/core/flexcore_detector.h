@@ -85,6 +85,11 @@ class FlexCoreDetector : public Detector {
  public:
   FlexCoreDetector(const Constellation& c, FlexCoreConfig cfg);
 
+  /// QR + pre-processing + plan compile.  A warm detector installs a
+  /// same-shape channel with zero heap allocations.  If it throws
+  /// (rank-deficient or non-finite H) the detector holds no channel, and
+  /// detect / detect_batch / detect_soft throw std::logic_error until the
+  /// next successful install.
   void set_channel(const CMat& h, double noise_var) override;
   DetectionResult detect(const CVec& y) const override;
 
@@ -196,6 +201,10 @@ class FlexCoreDetector : public Detector {
   const OrderingLut& lut() const noexcept { return lut_; }
 
  private:
+  /// Throws std::logic_error unless a channel is installed (active_paths_
+  /// is 0 before the first set_channel and after a failed one).
+  void require_channel(const char* where) const;
+
   /// Sequential reduction over all active paths; sets *fell (when given) if
   /// every path was deactivated and the SIC fallback produced the result.
   DetectionResult reduce(const CVec& ybar, std::vector<PathEval>* keep_all,

@@ -72,6 +72,12 @@ struct PreprocessingResult {
   std::uint64_t real_mults = 0;
   /// Number of tree nodes expanded.
   std::uint64_t nodes_expanded = 0;
+  /// Not part of the result: position-vector storage of paths an earlier
+  /// search into this result emitted beyond the current count, kept so
+  /// find_most_promising_paths_into can grow `paths` again without
+  /// allocating (the path count varies per channel once the stop
+  /// threshold cuts the search short).
+  std::vector<PositionVector> spare_p;
 };
 
 /// Computes the per-level error probabilities Pe(l) from the diagonal of R.
@@ -95,6 +101,22 @@ PreprocessingResult find_most_promising_paths(linalg::CMatView r,
 PreprocessingResult find_most_promising_paths(const std::vector<double>& pe,
                                               int constellation_order,
                                               const PreprocessingConfig& cfg);
+
+/// Buffer-reusing forms of the two searches above, which are thin wrappers
+/// over these: *out is overwritten, and out->pe, out->paths (each path's
+/// position vector included) and a per-thread frontier keep their capacity,
+/// so a warm caller searching same-shape channels allocates nothing.  The
+/// second form accepts `pe` aliasing out->pe.  Requires Nt <= 32 and
+/// |Q| <= 256 (the packed frontier's limits; throws std::invalid_argument
+/// otherwise).  On a throw *out is left unspecified.
+void find_most_promising_paths_into(linalg::CMatView r, double noise_var,
+                                    const Constellation& c,
+                                    const PreprocessingConfig& cfg,
+                                    PreprocessingResult* out);
+void find_most_promising_paths_into(const std::vector<double>& pe,
+                                    int constellation_order,
+                                    const PreprocessingConfig& cfg,
+                                    PreprocessingResult* out);
 
 /// Reference implementation for tests: enumerate *all* |Q|^Nt position
 /// vectors, rank by Pc, return the top `num_paths`.  Exponential; only for

@@ -58,6 +58,12 @@ void CMat::swap_cols(std::size_t a, std::size_t b) {
   }
 }
 
+void CMat::assign_zero(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, cplx{0.0, 0.0});
+}
+
 CMat CMat::hermitian() const {
   CMat m(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

@@ -68,6 +68,12 @@ class CMat {
   /// Swap columns a and b in place.
   void swap_cols(std::size_t a, std::size_t b);
 
+  /// Reshape to rows x cols, zero-filled, reusing the existing capacity.
+  void assign_zero(std::size_t rows, std::size_t cols);
+  /// Overwrite with a copy of `v` (reshaping), reusing the existing
+  /// capacity.  `v` must not view this matrix.  Defined after CMatView.
+  void assign(CMatView v);
+
   /// Conjugate (Hermitian) transpose.
   CMat hermitian() const;
   /// Plain transpose (no conjugation).
@@ -149,6 +155,12 @@ inline CMatView CMat::row_range(std::size_t row_begin,
                                 std::size_t row_count) const {
   assert(row_begin + row_count <= rows_);
   return CMatView(data() + row_begin * cols_, row_count, cols_);
+}
+
+inline void CMat::assign(CMatView v) {
+  rows_ = v.rows();
+  cols_ = v.cols();
+  data_.assign(v.data(), v.data() + rows_ * cols_);
 }
 
 inline CMat CMatView::materialize() const {

@@ -14,40 +14,56 @@ namespace {
 
 constexpr double kRankTol = 1e-12;
 
-// Shared MGS core: orthogonalizes the columns of `a` in the order chosen by
+// Shared MGS core: orthogonalizes the columns of h in the order chosen by
 // `pick_next`, which receives the current residual column norms (squared,
 // NaN for already-processed columns) and returns the column to process.
 // With Tolerant set, a pivot below the rank tolerance produces a zero Q
 // column / zero R row instead of throwing (the shard-partial contract of
 // qr_mgs_tolerant); the branch is compile-time, so the full-rank code path
 // is the same instructions either way.
+//
+// Works in place in out->Q: H is copied there once, column k is normalized
+// where it lies and columns > k hold the residuals still to process, so
+// Q, R, perm and the residual norms all reuse the caller's capacity.  The
+// arithmetic (summation order, per-element operations) is that of a
+// column-vector MGS, so results are bit-identical to one.
 template <bool Tolerant = false, typename PickFn>
-QrResult mgs_core(CMatView h, PickFn pick_next) {
+void mgs_core(CMatView h, PickFn pick_next, QrResult* out) {
   const std::size_t nr = h.rows();
   const std::size_t nt = h.cols();
   if (nr < nt) throw std::runtime_error("qr: requires rows >= cols");
 
-  CMat a = h.materialize();  // residual columns get overwritten in place
-  CMat q(nr, nt);
-  CMat r(nt, nt);
-  std::vector<std::size_t> perm(nt);
-  std::iota(perm.begin(), perm.end(), 0);
+  CMat& q = out->Q;
+  CMat& r = out->R;
+  q.assign(h);
+  r.assign_zero(nt, nt);
+  out->perm.resize(nt);
+  std::iota(out->perm.begin(), out->perm.end(), 0);
+  cplx* const a = q.data();
+  const auto at = [a, nt](std::size_t i, std::size_t j) -> cplx& {
+    return a[i * nt + j];
+  };
+  const auto col_norm2 = [&](std::size_t j) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < nr; ++i) s += abs2(at(i, j));
+    return s;
+  };
 
   // norms2[j] tracks the squared residual norm of (current) column j.
-  std::vector<double> norms2(nt);
-  for (std::size_t j = 0; j < nt; ++j) norms2[j] = norm2(a.col(j));
+  thread_local std::vector<double> norms2;
+  norms2.resize(nt);
+  for (std::size_t j = 0; j < nt; ++j) norms2[j] = col_norm2(j);
 
   for (std::size_t k = 0; k < nt; ++k) {
     const std::size_t pick = pick_next(k, norms2);
     if (pick != k) {
-      a.swap_cols(k, pick);
+      q.swap_cols(k, pick);
       r.swap_cols(k, pick);  // swap already-computed rows' columns
-      std::swap(perm[k], perm[pick]);
+      std::swap(out->perm[k], out->perm[pick]);
       std::swap(norms2[k], norms2[pick]);
     }
 
-    CVec qk = a.col(k);
-    const double nrm = std::sqrt(norm2(qk));
+    const double nrm = std::sqrt(col_norm2(k));
     if (!std::isfinite(nrm)) {
       // NaN/Inf entries would otherwise sail PAST the rank tolerance (NaN
       // comparisons are false) and poison Q/R silently.  Thrown in the
@@ -57,54 +73,71 @@ QrResult mgs_core(CMatView h, PickFn pick_next) {
     }
     if (nrm < kRankTol) {
       if constexpr (Tolerant) {
-        // Residual column k lies in the span of the processed ones: leave
-        // q's column k and r's row k zero.  H = Q R still holds (column k
-        // of H reconstructs from the r(0..k-1, k) entries already stored),
-        // and the dead level contributes nothing to R^H R.
+        // Residual column k lies in the span of the processed ones: zero
+        // q's column k and leave r's row k zero.  H = Q R still holds
+        // (column k of H reconstructs from the r(0..k-1, k) entries
+        // already stored), and the dead level contributes nothing to
+        // R^H R.
+        for (std::size_t i = 0; i < nr; ++i) at(i, k) = cplx{0.0, 0.0};
         norms2[k] = std::numeric_limits<double>::quiet_NaN();
         continue;
       }
       throw std::runtime_error("qr: rank-deficient matrix");
     }
     r(k, k) = cplx{nrm, 0.0};
-    for (auto& z : qk) z /= nrm;
-    q.set_col(k, qk);
+    for (std::size_t i = 0; i < nr; ++i) at(i, k) /= nrm;
 
     for (std::size_t j = k + 1; j < nt; ++j) {
-      CVec aj = a.col(j);
-      const cplx proj = dot(qk, aj);
+      cplx proj{0.0, 0.0};
+      for (std::size_t i = 0; i < nr; ++i) {
+        proj += std::conj(at(i, k)) * at(i, j);
+      }
       r(k, j) = proj;
-      axpy(-proj, qk, aj);
-      a.set_col(j, aj);
+      const cplx minus_proj = -proj;
+      for (std::size_t i = 0; i < nr; ++i) at(i, j) += minus_proj * at(i, k);
       // Cheap norm downdate (standard SQRD trick); re-deriving from the
       // updated column avoids negative drift.
       norms2[j] = std::max(0.0, norms2[j] - abs2(proj));
     }
     norms2[k] = std::numeric_limits<double>::quiet_NaN();
   }
-  return QrResult{std::move(q), std::move(r), std::move(perm)};
 }
 
 constexpr auto kNaturalOrder = [](std::size_t k, const std::vector<double>&) {
   return k;
 };
 
+constexpr auto kMinResidualNorm = [](std::size_t k,
+                                     const std::vector<double>& norms2) {
+  std::size_t best = k;
+  for (std::size_t j = k + 1; j < norms2.size(); ++j) {
+    if (norms2[j] < norms2[best]) best = j;
+  }
+  return best;
+};
+
 }  // namespace
 
-QrResult qr_mgs(CMatView h) { return mgs_core(h, kNaturalOrder); }
+QrResult qr_mgs(CMatView h) {
+  QrResult out;
+  mgs_core(h, kNaturalOrder, &out);
+  return out;
+}
 
 QrResult qr_mgs_tolerant(CMatView h) {
-  return mgs_core<true>(h, kNaturalOrder);
+  QrResult out;
+  mgs_core<true>(h, kNaturalOrder, &out);
+  return out;
 }
 
 QrResult sorted_qr_wubben(CMatView h) {
-  return mgs_core(h, [](std::size_t k, const std::vector<double>& norms2) {
-    std::size_t best = k;
-    for (std::size_t j = k + 1; j < norms2.size(); ++j) {
-      if (norms2[j] < norms2[best]) best = j;
-    }
-    return best;
-  });
+  QrResult out;
+  sorted_qr_wubben_into(h, &out);
+  return out;
+}
+
+void sorted_qr_wubben_into(CMatView h, QrResult* out) {
+  mgs_core(h, kMinResidualNorm, out);
 }
 
 QrResult qr_householder(CMatView h) {

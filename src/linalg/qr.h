@@ -60,6 +60,12 @@ QrResult qr_householder(CMatView h);
 /// (which walks levels Nt..1) sees the most reliable streams first.
 QrResult sorted_qr_wubben(CMatView h);
 
+/// sorted_qr_wubben into a caller-owned result, bit-identical to it: Q, R
+/// and perm reuse their capacity, so a warm result of the same shape costs
+/// no allocation.  `h` must not view out->Q.  On a throw *out is left
+/// unspecified.
+void sorted_qr_wubben_into(CMatView h, QrResult* out);
+
 /// FCSD ordering of Barbero & Thompson: the `full_levels` streams with the
 /// *largest* post-detection noise amplification are assigned to the top
 /// (fully-expanded) tree levels; the remaining levels use the V-BLAST

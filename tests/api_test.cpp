@@ -280,6 +280,65 @@ TEST(Pipeline, DetectRequiresChannel) {
   EXPECT_THROW(pipe.detect_one(CVec(4)), std::logic_error);
 }
 
+TEST(Pipeline, FailedInstallLeavesNoChannel) {
+  // A good install, then a rank-deficient one that throws mid-install: the
+  // session must refuse to detect rather than walk stale or half-written
+  // per-channel state, and a later good install restores it.
+  fa::PipelineConfig cfg;
+  cfg.detector = "flexcore-8";
+  cfg.qam_order = 16;
+  cfg.threads = 2;
+  fa::UplinkPipeline pipe(cfg);
+  ch::Rng rng(13);
+  const double nv = ch::noise_var_for_snr_db(14.0);
+  const CMat good = ch::rayleigh_iid(4, 4, rng);
+  CMat singular = ch::rayleigh_iid(4, 4, rng);
+  for (std::size_t r = 0; r < 4; ++r) singular(r, 3) = singular(r, 1);
+  const auto ys = random_batch(pipe.constellation(), good, 3, nv, rng);
+
+  pipe.set_channel(good, nv);
+  const auto before = pipe.detect(ys);
+  EXPECT_THROW(pipe.set_channel(singular, nv), std::runtime_error);
+  EXPECT_THROW(pipe.detect(ys), std::logic_error);
+  EXPECT_THROW(pipe.detect_one(ys[0]), std::logic_error);
+  EXPECT_THROW(pipe.detect_soft(ys), std::logic_error);
+  EXPECT_EQ(pipe.channel_installs(), 1u);
+
+  pipe.set_channel(good, nv);
+  const auto after = pipe.detect(ys);
+  ASSERT_EQ(after.results.size(), before.results.size());
+  for (std::size_t v = 0; v < ys.size(); ++v) {
+    EXPECT_EQ(after.results[v].symbols, before.results[v].symbols);
+    EXPECT_EQ(after.results[v].metric, before.results[v].metric);
+  }
+}
+
+TEST(Pipeline, FailedInstallLeavesDetectorWithoutChannel) {
+  // The same contract one layer down, on the detector itself.
+  Constellation c(16);
+  fc::FlexCoreDetector det(c, {.num_pes = 8});
+  ch::Rng rng(14);
+  const CMat good = ch::rayleigh_iid(4, 4, rng);
+  CMat bad = good;
+  bad(2, 0) = std::numeric_limits<double>::quiet_NaN();
+  const CVec y(4, flexcore::linalg::cplx{0.1, -0.2});
+  EXPECT_THROW((void)det.detect(y), std::logic_error);  // never installed
+
+  det.set_channel(good, 0.05);
+  EXPECT_GT(det.active_paths(), 0u);
+  EXPECT_THROW(det.set_channel(bad, 0.05), std::runtime_error);
+  EXPECT_EQ(det.active_paths(), 0u);
+  EXPECT_THROW((void)det.detect(y), std::logic_error);
+  EXPECT_THROW((void)det.detect_soft(y), std::logic_error);
+  fd::BatchResult batch;
+  EXPECT_THROW(det.detect_batch(std::vector<CVec>{y}, &batch),
+               std::logic_error);
+
+  det.set_channel(good, 0.05);
+  EXPECT_EQ(det.active_paths(), 8u);
+  EXPECT_NO_THROW((void)det.detect(y));
+}
+
 TEST(Pipeline, BatchedDetectMatchesDetectorAndAggregates) {
   fa::PipelineConfig cfg;
   cfg.detector = "flexcore-16";

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <set>
 
 #include "api/detector_registry.h"
@@ -219,6 +223,248 @@ TEST(Preprocessing, ZeroPathsThrows) {
   cfg.num_paths = 0;
   EXPECT_THROW(fc::find_most_promising_paths(qr.R, 0.1, c, cfg),
                std::invalid_argument);
+}
+
+// ------------------------------------------- reference-equivalent search
+
+namespace {
+
+// The original multiset implementation of the §3.1.1 search, kept verbatim
+// as the reference the flat-frontier search must reproduce exactly: same
+// paths in the same order, same pc bits, same pc_sum, same Table 2
+// multiplication and expansion counts.
+struct RefNode {
+  fc::PositionVector p;
+  double pc;
+  int last_inc;  ///< 1-based element whose increment created this node
+};
+
+struct RefNodeGreater {
+  bool operator()(const RefNode& a, const RefNode& b) const {
+    if (a.pc != b.pc) return a.pc > b.pc;
+    return a.p < b.p;  // deterministic tie-break
+  }
+};
+
+fc::PreprocessingResult reference_search(const std::vector<double>& pe,
+                                         int constellation_order,
+                                         const fc::PreprocessingConfig& cfg) {
+  const std::size_t nt = pe.size();
+  const int q = constellation_order;
+
+  fc::PreprocessingResult out;
+  out.pe = pe;
+
+  double root_pc = 1.0;
+  for (double pe_l : out.pe) root_pc *= (1.0 - pe_l);
+  out.real_mults += nt >= 1 ? nt - 1 : 0;
+
+  const std::size_t cap =
+      cfg.candidate_list_cap == 0 ? cfg.num_paths : cfg.candidate_list_cap;
+  const std::size_t batch = std::max<std::size_t>(1, cfg.batch_expand);
+
+  std::multiset<RefNode, RefNodeGreater> frontier;
+  frontier.insert(
+      RefNode{fc::PositionVector(nt, 1), root_pc, static_cast<int>(nt)});
+
+  out.paths.reserve(cfg.num_paths);
+
+  while (!frontier.empty() && out.paths.size() < cfg.num_paths &&
+         out.pc_sum < cfg.stop_threshold) {
+    std::vector<RefNode> round;
+    for (std::size_t b = 0; b < batch && !frontier.empty(); ++b) {
+      auto it = frontier.begin();
+      round.push_back(*it);
+      frontier.erase(it);
+    }
+
+    for (RefNode& node : round) {
+      if (out.paths.size() >= cfg.num_paths ||
+          out.pc_sum >= cfg.stop_threshold) {
+        break;
+      }
+      out.pc_sum += node.pc;
+      ++out.nodes_expanded;
+
+      for (int w = 1; w <= node.last_inc; ++w) {
+        int& entry = node.p[static_cast<std::size_t>(w - 1)];
+        if (entry >= q) continue;
+        ++entry;
+        const double child_pc =
+            node.pc * out.pe[static_cast<std::size_t>(w - 1)];
+        ++out.real_mults;
+        frontier.insert(RefNode{node.p, child_pc, w});
+        --entry;
+      }
+
+      out.paths.push_back(fc::RankedPath{std::move(node.p), node.pc});
+    }
+
+    while (frontier.size() > cap) {
+      frontier.erase(std::prev(frontier.end()));
+    }
+  }
+  return out;
+}
+
+/// Exact (bitwise) equality of two search results, with a readable trace
+/// of the first difference.
+::testing::AssertionResult same_search(const fc::PreprocessingResult& got,
+                                       const fc::PreprocessingResult& want) {
+  if (got.paths.size() != want.paths.size()) {
+    return ::testing::AssertionFailure()
+           << "path count " << got.paths.size() << " vs "
+           << want.paths.size();
+  }
+  for (std::size_t k = 0; k < want.paths.size(); ++k) {
+    if (got.paths[k].p != want.paths[k].p ||
+        std::memcmp(&got.paths[k].pc, &want.paths[k].pc, sizeof(double)) !=
+            0) {
+      return ::testing::AssertionFailure()
+             << "path " << k << ": " << key_of(got.paths[k].p) << " pc "
+             << got.paths[k].pc << " vs " << key_of(want.paths[k].p)
+             << " pc " << want.paths[k].pc;
+    }
+  }
+  if (std::memcmp(&got.pc_sum, &want.pc_sum, sizeof(double)) != 0 ||
+      got.pe != want.pe || got.real_mults != want.real_mults ||
+      got.nodes_expanded != want.nodes_expanded) {
+    return ::testing::AssertionFailure()
+           << "pc_sum " << got.pc_sum << " vs " << want.pc_sum
+           << ", real_mults " << got.real_mults << " vs " << want.real_mults
+           << ", nodes " << got.nodes_expanded << " vs "
+           << want.nodes_expanded;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(Preprocessing, FlatSearchMatchesReferenceSearchExactly) {
+  // Seeded sweep over the whole configuration space the search accepts.
+  // One result object is reused across every configuration, so the
+  // buffer-reusing entry point is checked with dirty, differently-sized
+  // state (longer and shorter path sets, other Nt) on every call.
+  constexpr double kPeMin = 1e-12;        // error_rates.cpp clamp bounds
+  constexpr double kPeMax = 1.0 - 1e-9;
+  constexpr int kOrders[] = {4, 16, 64, 256};
+  std::mt19937_64 gen(20170327);
+  auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(gen);
+  };
+  auto pick = [&](std::size_t lo, std::size_t hi) {  // inclusive
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(gen);
+  };
+
+  fc::PreprocessingResult reused;
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    const std::size_t nt = pick(1, 32);
+    const int q = kOrders[pick(0, 3)];
+
+    // Pe(l): log-uniform, all equal (the control plane's nominal-SNR
+    // model), a few repeated values, or values pinned at the clamp bounds.
+    std::vector<double> pe(nt);
+    const std::size_t mode = pick(0, 3);
+    const double shared = std::pow(10.0, uniform(-12.0, 0.0));
+    for (double& v : pe) {
+      switch (mode) {
+        case 0: v = std::pow(10.0, uniform(-12.0, 0.0)); break;
+        case 1: v = shared; break;
+        case 2: v = std::array{shared, 0.5 * shared, 0.05}[pick(0, 2)]; break;
+        default:
+          v = std::array{kPeMin, kPeMax, shared}[pick(0, 2)];
+          break;
+      }
+      v = std::clamp(v, kPeMin, kPeMax);
+    }
+
+    fc::PreprocessingConfig cfg;
+    // Log-uniform path budget in [1, 512].
+    cfg.num_paths = std::min<std::size_t>(
+        512,
+        static_cast<std::size_t>(std::exp(uniform(0.0, std::log(513.0)))));
+    switch (pick(0, 3)) {
+      case 0: cfg.candidate_list_cap = 0; break;
+      case 1: cfg.candidate_list_cap = pick(1, 8); break;
+      case 2: cfg.candidate_list_cap = cfg.num_paths + nt; break;
+      default: cfg.candidate_list_cap = 100000; break;
+    }
+    cfg.batch_expand = pick(1, 12);
+    cfg.stop_threshold = pick(0, 1) == 0 ? 1.0 : 0.95;
+
+    const fc::PreprocessingResult want = reference_search(pe, q, cfg);
+    fc::find_most_promising_paths_into(pe, q, cfg, &reused);
+    ASSERT_TRUE(same_search(reused, want))
+        << "trial " << trial << ": nt " << nt << " q " << q << " paths "
+        << cfg.num_paths << " cap " << cfg.candidate_list_cap << " batch "
+        << cfg.batch_expand << " stop " << cfg.stop_threshold << " pe mode "
+        << mode;
+    if (trial % 16 == 0) {  // the value-returning wrapper too
+      ASSERT_TRUE(same_search(fc::find_most_promising_paths(pe, q, cfg), want))
+          << "trial " << trial;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12000u);
+}
+
+TEST(Preprocessing, ChannelSearchIntoMatchesReference) {
+  // The channel-driven entry point: Pe from R's diagonal, then the same
+  // search, into a reused result.
+  Constellation c(64);
+  fc::PreprocessingResult reused;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const std::size_t nt = 2 + seed % 15;
+    const CMat h = random_channel(nt + seed % 3, nt, 100 + seed);
+    const auto qr = flexcore::linalg::sorted_qr_wubben(h);
+    fc::PreprocessingConfig cfg;
+    cfg.num_paths = 8u << (seed % 5);
+    cfg.stop_threshold = seed % 2 == 0 ? 1.0 : 0.95;
+    const double nv =
+        ch::noise_var_for_snr_db(10.0 + static_cast<double>(seed % 20));
+    fc::find_most_promising_paths_into(qr.R, nv, c, cfg, &reused);
+    const auto pe = fc::level_error_probabilities(qr.R, nv, c, cfg.pe_model);
+    ASSERT_TRUE(same_search(reused, reference_search(pe, 64, cfg)))
+        << "seed " << seed;
+  }
+}
+
+TEST(Preprocessing, SearchLimitsThrow) {
+  fc::PreprocessingConfig cfg;
+  EXPECT_THROW(fc::find_most_promising_paths(std::vector<double>(33, 0.1), 4,
+                                             cfg),
+               std::invalid_argument);
+  EXPECT_THROW(fc::find_most_promising_paths(std::vector<double>(4, 0.1), 1024,
+                                             cfg),
+               std::invalid_argument);
+}
+
+TEST(SortedQr, IntoReusedResultIsBitIdentical) {
+  // sorted_qr_wubben_into over one QrResult reused across shapes (growing
+  // and shrinking) must equal the value-returning form bit for bit.
+  flexcore::linalg::QrResult reused;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const std::size_t nt = 4 + seed % 13;            // 4 .. 16
+    const std::size_t nr = nt + (seed % 4 == 0 ? 3 : 0);
+    const CMat h = random_channel(nr, nt, 500 + seed);
+    const flexcore::linalg::QrResult want =
+        flexcore::linalg::sorted_qr_wubben(h);
+    flexcore::linalg::sorted_qr_wubben_into(h, &reused);
+    ASSERT_EQ(reused.perm, want.perm) << "seed " << seed;
+    ASSERT_EQ(reused.Q.rows(), want.Q.rows());
+    ASSERT_EQ(reused.Q.cols(), want.Q.cols());
+    ASSERT_EQ(reused.R.rows(), want.R.rows());
+    ASSERT_EQ(reused.R.cols(), want.R.cols());
+    EXPECT_EQ(std::memcmp(reused.Q.data(), want.Q.data(),
+                          nr * nt * sizeof(cplx)),
+              0)
+        << "seed " << seed;
+    EXPECT_EQ(std::memcmp(reused.R.data(), want.R.data(),
+                          nt * nt * sizeof(cplx)),
+              0)
+        << "seed " << seed;
+  }
 }
 
 // ------------------------------------------------------------ ordering LUT

@@ -9,17 +9,23 @@
 //  * UplinkPipeline::detect_frame steady state (reuse overload +
 //    reuse_preprocessing, threads=1) performs ZERO heap allocations and
 //    ZERO lock acquisitions;
+//  * so does a warm threads=1 detect_frame on fresh channels
+//    (reuse_preprocessing off): per-subcarrier QR, path search and plan
+//    compile all rebuild in place, in every precision tier;
 //  * Runtime run_one and ShardedRuntime submit→complete cycles have an
 //    O(1)-per-frame control-plane envelope: allocation and lock counts do
 //    not grow with the grid's path count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
 #include "api/runtime.h"
 #include "api/uplink_pipeline.h"
+#include "api/detector_registry.h"
 #include "channel/channel.h"
+#include "core/flexcore_detector.h"
 #include "detect/path_kernels.h"
 #include "frame_fixtures.h"
 #include "linalg/qr.h"
@@ -184,6 +190,81 @@ TEST(FrameSteadyState, ZeroAllocZeroLockSingleThread) {
   EXPECT_EQ(d.lock_acquisitions, 0u)
       << "steady-state frame took a lock on a threads=1 pool";
   EXPECT_EQ(out.results.size(), fr.ys.size());
+}
+
+TEST(FrameSteadyState, FreshChannelZeroAllocZeroLockSingleThread) {
+  // Fresh-channel traffic: every frame re-preprocesses every subcarrier
+  // (sorted QR, path search, plan compile).  Warmed on one frame, a
+  // same-shape frame with DIFFERENT channels installs and detects with no
+  // heap and no locks.
+  for (const char* spec : {"flexcore-16", "flexcore-16:i16"}) {
+    SCOPED_TRACE(spec);
+    fa::PipelineConfig cfg;
+    cfg.detector = spec;
+    cfg.qam_order = 16;
+    cfg.threads = 1;
+    fa::UplinkPipeline pipe(cfg);
+    const double nv = ch::noise_var_for_snr_db(14.0);
+    const Frame warm = make_frame(pipe.constellation(), 6, 3, 4, 4, nv, 31);
+    const Frame fresh = make_frame(pipe.constellation(), 6, 3, 4, 4, nv, 47);
+    ASSERT_NE(fresh.channels.front()(0, 0), warm.channels.front()(0, 0));
+
+    fa::FrameResult out;
+    pipe.detect_frame(job_of(warm, nv), &out);  // cold: buffer growth
+    const fa::FrameJob job = job_of(fresh, nv);
+    ASSERT_FALSE(job.reuse_preprocessing);
+
+    fp::HotPathScope guard("fresh-channel detect_frame", Scope::kThread);
+    pipe.detect_frame(job, &out);
+    const auto d = guard.delta();
+    if (fp::hot_path_guard_enabled()) {
+      EXPECT_EQ(d.allocations, 0u) << "fresh-channel frame touched the heap";
+    }
+    EXPECT_EQ(d.lock_acquisitions, 0u)
+        << "fresh-channel frame took a lock on a threads=1 pool";
+    EXPECT_EQ(out.channels_installed, fresh.channels.size());
+    EXPECT_EQ(out.results.size(), fresh.ys.size());
+  }
+}
+
+TEST(FrameSteadyState, FreshChannelInstallZeroAlloc12x12) {
+  // The fresh-12x12 serving shape (flexcore-64, 64-QAM, 24 dB): a warm
+  // detector installs channels it has never seen without touching the
+  // heap, also when the stop threshold cuts one path set short and the
+  // next grows back to the full budget.
+  flexcore::modulation::Constellation c(64);
+  fa::DetectorConfig dc;
+  dc.constellation = &c;
+  auto det =
+      fa::make_detector_as<flexcore::core::FlexCoreDetector>("flexcore-64", dc);
+  const double nv = ch::noise_var_for_snr_db(24.0);
+  ch::Rng rng(53);
+  std::vector<fl::CMat> warm, fresh;
+  for (int i = 0; i < 8; ++i) warm.push_back(ch::rayleigh_iid(12, 12, rng));
+  for (int i = 0; i < 8; ++i) fresh.push_back(ch::rayleigh_iid(12, 12, rng));
+
+  std::size_t warm_max = 0;
+  for (const fl::CMat& h : warm) {
+    det->set_channel(h, nv);
+    warm_max = std::max(warm_max, det->active_paths());
+  }
+  ASSERT_EQ(warm_max, 64u) << "warm-up never reached the full path budget";
+
+  std::size_t shortest = 64;
+  std::size_t longest = 0;
+  fp::HotPathScope guard("fresh 12x12 installs", Scope::kThread);
+  for (const fl::CMat& h : fresh) {
+    det->set_channel(h, nv);
+    shortest = std::min(shortest, det->active_paths());
+    longest = std::max(longest, det->active_paths());
+  }
+  const auto d = guard.delta();
+  if (fp::hot_path_guard_enabled()) {
+    EXPECT_EQ(d.allocations, 0u) << "warm set_channel touched the heap";
+  }
+  EXPECT_EQ(d.lock_acquisitions, 0u);
+  // The set really did shrink and grow back within the guarded region.
+  EXPECT_LT(shortest, longest);
 }
 
 // ------------------------------------- runtime O(1)-per-frame envelope
